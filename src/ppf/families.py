@@ -30,6 +30,8 @@ records those disagreements rather than hiding them.
 
 from __future__ import annotations
 
+import functools
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -48,7 +50,7 @@ from .errors import (
 )
 from .fields import ExtensionField, field_for_q_squared
 from .linalg import is_linearly_independent
-from .polys import FnTable, SparsePoly
+from .polys import SparsePoly, first_collisions
 
 BINOMIAL_CAP = 64  # exponents expanded with exact integer binomials
 
@@ -152,29 +154,36 @@ def validate_params(ctx: ExtensionField, p: FamilyParams) -> None:
 
 
 def _branches(ctx: ExtensionField, p: FamilyParams):
-    """((c1, d1), (c2, d2), eps, omega) element indices for the two linear forms."""
+    """((c1, d1), (c2, d2), omega) element indices for the two linear forms.
+
+    They depend only on the variant (family, alpha/beta, omega choice, sign),
+    not on m, n or eps; omega is 0 for family 1.
+    """
     one = 1
     if p.family == 1:
         mu = ctx.subgroup_mu(p.q + 1)
-        alpha, beta = mu[p.alpha_idx], mu[p.beta_idx]
-        w = ctx.order3_element() if p.q % 3 else 0
-        return (one, alpha), (one, beta), p.epsilon.resolve(ctx, w), 0
+        return (one, mu[p.alpha_idx]), (one, mu[p.beta_idx]), 0
     w = _omega(ctx, p.omega_choice)
-    eps = p.epsilon.resolve(ctx, w)
     if p.family == 2:
         d2 = w if p.sign == 1 else ctx.neg(w)
-        return (one, one), (one, d2), eps, w
+        return (one, one), (one, d2), w
     if p.family == 3:
-        return (one, w), (w, one), eps, w
+        return (one, w), (w, one), w
     if p.family == 4:
-        return (one, w), (w, ctx.neg(one)), eps, w
+        return (one, w), (w, ctx.neg(one)), w
     if p.family == 5:
-        return (one, one), (one, w), eps, w
+        return (one, one), (one, w), w
     if p.family == 6:
-        return (one, one), (one, ctx.neg(w)), eps, w
+        return (one, one), (one, ctx.neg(w)), w
     if p.family == 7:
-        return (one, w), (w, one), eps, w
-    return (one, w), (w, ctx.neg(one)), eps, w
+        return (one, w), (w, one), w
+    return (one, w), (w, ctx.neg(one)), w
+
+
+def _eps_value(ctx: ExtensionField, spec: EpsilonSpec, w: int) -> int:
+    """eps as an element; the omega tags of family 1 (w = 0) refer to the
+    canonical order-3 element."""
+    return spec.resolve(ctx, w or (ctx.order3_element() if ctx.base.order % 3 else 0))
 
 
 def expand_linear_power(ctx: ExtensionField, c: int, d: int, e: int) -> SparsePoly:
@@ -197,9 +206,9 @@ def expand_linear_power(ctx: ExtensionField, c: int, d: int, e: int) -> SparsePo
 def construct_family(ctx: ExtensionField, p: FamilyParams) -> SparsePoly:
     """The reduced sparse polynomial of the family instance."""
     validate_params(ctx, p)
-    (c1, d1), (c2, d2), eps, _ = _branches(ctx, p)
+    (c1, d1), (c2, d2), w = _branches(ctx, p)
     poly = (expand_linear_power(ctx, c1, d1, p.m)
-            + expand_linear_power(ctx, c2, d2, p.n).scale(eps))
+            + expand_linear_power(ctx, c2, d2, p.n).scale(_eps_value(ctx, p.epsilon, w)))
     return poly.reduce()
 
 
@@ -213,25 +222,40 @@ def _effective_family(family: int, even_char: bool) -> int:
 def ns_condition(ctx: ExtensionField, p: FamilyParams) -> bool:
     """The family's tabulated permutation condition (see module docstring)."""
     validate_params(ctx, p)
+    eps = _eps_value(ctx, p.epsilon, _branches(ctx, p)[2])
+    return bool(_conditions(ctx, p, [p.epsilon], [eps], [p.m], [p.n])[0, 0, 0])
+
+
+def _conditions(ctx: ExtensionField, p: FamilyParams, eps_specs, eps_values,
+                ms, ns) -> np.ndarray:
+    """The tabulated condition over the eps x m x n grid of p's variant (p's
+    own m, n and eps are ignored), shape (len(eps_specs), len(ms), len(ns)).
+
+    Exponents stay Python integers until they are reduced, so any m, n is exact.
+    """
     q = p.q
-    g1 = gcd(p.m * p.n, q - 1) == 1
+    shape = (len(eps_specs), len(ms), len(ns))
+    grid = np.array([[gcd(m * n, q - 1) == 1 for n in ns] for m in ms])
     fam = _effective_family(p.family, ctx.p == 2)
     if fam == 1:
-        (c1, alpha), (c2, beta), eps, _ = _branches(ctx, p)
-        lhs = ctx.mul(ctx.pow(eps, q - 1), ctx.pow(alpha, p.m))
-        return g1 and lhs != ctx.pow(beta, p.n)
-    if fam in (2, 4):
-        return g1
+        (_, alpha), (_, beta), _ = _branches(ctx, p)
+        lhs = np.array([[ctx.mul(ctx.pow(eps, q - 1), ctx.pow(alpha, m)) for m in ms]
+                        for eps in eps_values])
+        rhs = np.array([ctx.pow(beta, n) for n in ns])
+        return grid & (lhs[:, :, None] != rhs)
     if fam == 3:
-        return g1 and gcd(3, p.m - 2 * p.n) == 1
-    j = p.epsilon.omega_residue()
-    if j is None:
-        raise EpsilonDomain(f"family {p.family} got epsilon tag {p.epsilon.tag!r}")
-    if fam == 5:
-        return g1 and (j - p.n) % 3 != 0
-    if fam == 7:
-        return g1 and (j + p.m - p.n) % 3 != 0
-    return g1  # families 6, 8 in odd characteristic
+        grid &= np.array([[gcd(3, m - 2 * n) == 1 for n in ns] for m in ms])
+    if fam in (2, 3, 4):
+        return np.broadcast_to(grid, shape)
+    js = [s.omega_residue() for s in eps_specs]
+    if None in js:
+        tag = eps_specs[js.index(None)].tag
+        raise EpsilonDomain(f"family {p.family} got epsilon tag {tag!r}")
+    if fam in (5, 7):
+        # family 5: 3 does not divide j - n; family 7: 3 does not divide j + m - n
+        shift = np.array([[(n - m * (fam == 7)) % 3 for n in ns] for m in ms])
+        return grid & ((np.array(js)[:, None, None] - shift) % 3 != 0)
+    return np.broadcast_to(grid, shape)  # families 6, 8 in odd characteristic
 
 
 @dataclass
@@ -268,30 +292,79 @@ def _direct_table(ctx: ExtensionField, c1, d1, c2, d2, m, n, eps) -> np.ndarray:
     return ctx.arr_add(ctx.arr_pow(u, m), ctx.arr_scale(ctx.arr_pow(v, n), eps))
 
 
+# -- the batched engine ----------------------------------------------------------
+
+CHUNK_VALUES = 1 << 20  # table entries per chunk: max(1, CHUNK_VALUES // Q) instances
+
+
+def _summand_tables(ctx: ExtensionField, c: int, d: int, exponents) -> np.ndarray:
+    """Tables of (c x + d x^q)^e, one row per exponent, from the binomial
+    expansion, each checked against direct pointwise evaluation.  Equal
+    summands give equal eps-weighted sums, so this covers every instance."""
+    lin = ctx.arr_add(ctx.arr_scale(ctx.all_indices(), c), ctx.arr_scale(ctx.frob_table, d))
+    rows = []
+    for e in exponents:
+        table = expand_linear_power(ctx, c, d, e).to_table().values
+        if not np.array_equal(table, ctx.arr_pow(lin, e)):
+            raise ArithmeticError("binomial expansion disagrees with direct evaluation")
+        rows.append(table)
+    return np.array(rows)
+
+
+def _reports(fmt, head: tuple, cells, predicted, values: np.ndarray) -> list:
+    """One AgreementReport per row of the 2-D table array `values`.
+
+    head: (family, q, alpha, beta, omega, sign), shared by the rows; cells:
+    (m, n, eps tag, eps) per row; predicted: the condition per row.  One
+    row-wise collision search gives every verdict and first witness.
+    """
+    family, q, alpha, beta, omega, sign = head
+    hit, x1, x2 = first_collisions(values)
+    return [AgreementReport(family, q, m, n, alpha, beta, omega, sign,
+                            {"tag": tag, "value": fmt(eps)}, pred, not h, pred != h,
+                            [fmt(a), fmt(b)] if h else None)
+            for (m, n, tag, eps), pred, h, a, b
+            in zip(cells, predicted, hit.tolist(), x1.tolist(), x2.tolist())]
+
+
+def _variant_reports(ctx: ExtensionField, p: FamilyParams, eps_specs, ms, ns,
+                     fmt) -> list:
+    """Reports for the eps x m x n grid of p's variant (family, alpha/beta,
+    omega choice, sign; p's own m, n and eps are ignored), in grid order.
+
+    Instance (eps, m, n) is the row first[m] + eps * second[n] of one 2-D
+    table array, built and decided CHUNK_VALUES table entries at a time.
+    fmt formats element indices (a memo of ctx.format_idx in sweeps).
+    """
+    (c1, d1), (c2, d2), w = _branches(ctx, p)
+    eps_values = [_eps_value(ctx, s, w) for s in eps_specs]
+    first = _summand_tables(ctx, c1, d1, ms)
+    second = _summand_tables(ctx, c2, d2, ns)
+    cells = [(m, n, s.tag, eps) for s, eps in zip(eps_specs, eps_values)
+             for m in ms for n in ns]
+    if not cells:
+        return []
+    predicted = _conditions(ctx, p, eps_specs, eps_values, ms, ns).ravel().tolist()
+    head = (p.family, p.q, fmt(d1), fmt(d2), fmt(w) if w else "",
+            "-" if p.sign < 0 else "+")
+    eps_col = np.array(eps_values)[:, None]
+    M, N = len(ms), len(ns)
+    step = max(1, CHUNK_VALUES // ctx.order)
+    reports = []
+    for r0 in range(0, len(cells), step):
+        r = np.arange(r0, min(r0 + step, len(cells)))
+        values = ctx.arr_add(first[r // N % M],
+                             ctx.arr_mul(eps_col[r // (M * N)], second[r % N]))
+        reports += _reports(fmt, head, cells[r0:r0 + step], predicted[r0:r0 + step],
+                            values)
+    return reports
+
+
 def check_family(ctx: ExtensionField, p: FamilyParams) -> AgreementReport:
-    """Construct the instance, run the exhaustive oracle, compare with the
-    condition; the constructed table is also checked against direct pointwise
-    evaluation of the defining expression."""
-    poly = construct_family(ctx, p)
-    table = poly.to_table()
-    (c1, d1), (c2, d2), eps, w = _branches(ctx, p)
-    direct = _direct_table(ctx, c1, d1, c2, d2, p.m, p.n, eps)
-    if not np.array_equal(table.values, direct):
-        raise ArithmeticError("binomial expansion disagrees with direct evaluation")
-    predicted = ns_condition(ctx, p)
-    oracle = table.is_permutation()
-    witness = None
-    if not oracle:
-        x1, x2 = table.first_collision()
-        witness = [ctx.format_idx(x1), ctx.format_idx(x2)]
-    return AgreementReport(
-        family=p.family, q=p.q, m=p.m, n=p.n,
-        alpha=ctx.format_idx(d1), beta=ctx.format_idx(d2),
-        omega=ctx.format_idx(w) if w else "",
-        sign="-" if p.sign < 0 else "+",
-        epsilon={"tag": p.epsilon.tag, "value": ctx.format_idx(eps)},
-        predicted=predicted, oracle=oracle, agree=predicted == oracle,
-        witness=witness)
+    """Condition vs exhaustive oracle for one instance: the engine on a
+    1 x 1 x 1 grid, with the expansion checked against direct evaluation."""
+    validate_params(ctx, p)
+    return _variant_reports(ctx, p, [p.epsilon], [p.m], [p.n], ctx.format_idx)[0]
 
 
 def params_from_report(record: dict) -> FamilyParams:
@@ -352,100 +425,29 @@ def _eps_specs(ctx: ExtensionField, family: int, q: int, rng: random.Random) -> 
     return base + [EpsilonSpec(t) for t in OMEGA_SPECIAL_TAGS]
 
 
-def _enumerate_block(ctx: ExtensionField, family: int, q: int, m_max: int,
-                     n_max: int, rng: random.Random):
-    """FamilyParams for one (q, family) block, in deterministic grid order."""
-    eps_list = _eps_specs(ctx, family, q, rng)
+def _sweep_variants(family: int, q: int, eps0: EpsilonSpec) -> list:
+    """One FamilyParams per variant, in grid order (m, n and eps are
+    placeholders: the engine runs each variant over the whole grid)."""
     if family == 1:
-        mu_size = q + 1
-        for ai in range(mu_size):
-            for bi in range(mu_size):
-                if ai == bi:
-                    continue
-                for eps in eps_list:
-                    for m in range(1, m_max + 1):
-                        for n in range(1, n_max + 1):
-                            yield FamilyParams(1, q, m, n, eps, ai, bi)
-        return
+        return [FamilyParams(1, q, 1, 1, eps0, ai, bi)
+                for ai in range(q + 1) for bi in range(q + 1) if ai != bi]
     signs = (1, -1) if family == 2 else (1,)
-    for omega_choice in (1, 2):
-        for sign in signs:
-            for eps in eps_list:
-                for m in range(1, m_max + 1):
-                    for n in range(1, n_max + 1):
-                        yield FamilyParams(family, q, m, n, eps,
-                                           omega_choice=omega_choice, sign=sign)
-
-
-def _sweep_variants(ctx: ExtensionField, family: int, q: int):
-    """(params-stub fields, branch coefficients) per variant, in grid order."""
-    if family == 1:
-        for ai in range(q + 1):
-            for bi in range(q + 1):
-                if ai != bi:
-                    yield (ai, bi, 1, 1)
-        return
-    signs = (1, -1) if family == 2 else (1,)
-    for omega_choice in (1, 2):
-        for sign in signs:
-            yield (None, None, omega_choice, sign)
+    return [FamilyParams(family, q, 1, 1, eps0, omega_choice=oc, sign=s)
+            for oc in (1, 2) for s in signs]
 
 
 def _run_block(args):
-    """One (q, family) sweep block.
-
-    Tables of the two expanded branch powers are cached per exponent; an
-    instance's table is their epsilon-weighted sum (evaluation is linear in
-    the terms, exactly), and is still compared against direct pointwise
-    evaluation of the defining expression.
-    """
+    """One (q, family) sweep block: each variant's eps x m x n grid through
+    the batched engine, element strings formatted once per block."""
     q, family, m_max, n_max, seed, cap = args
     ctx = field_for_q_squared(q, cap=cap)
     rng = random.Random(seed * 1_000_003 + q * 1009 + family)
     eps_list = _eps_specs(ctx, family, q, rng)
-    xs = ctx.all_indices()
-    xq = ctx.frob_table
+    ms, ns = range(1, m_max + 1), range(1, n_max + 1)
+    fmt = functools.cache(ctx.format_idx)
     reports = []
-    for ai, bi, omega_choice, sign in _sweep_variants(ctx, family, q):
-        stub = FamilyParams(family, q, 1, 1, eps_list[0], ai, bi,
-                            omega_choice=omega_choice, sign=sign)
-        (c1, d1), (c2, d2), _, w = _branches(ctx, stub)
-        u1 = ctx.arr_add(ctx.arr_scale(xs, c1), ctx.arr_scale(xq, d1))
-        u2 = ctx.arr_add(ctx.arr_scale(xs, c2), ctx.arr_scale(xq, d2))
-        exp1 = {m: expand_linear_power(ctx, c1, d1, m).to_table().values
-                for m in range(1, m_max + 1)}
-        exp2 = {n: expand_linear_power(ctx, c2, d2, n).to_table().values
-                for n in range(1, n_max + 1)}
-        pow1 = {m: ctx.arr_pow(u1, m) for m in range(1, m_max + 1)}
-        pow2 = {n: ctx.arr_pow(u2, n) for n in range(1, n_max + 1)}
-        for eps_spec in eps_list:
-            eps = eps_spec.resolve(ctx, w or (ctx.order3_element() if q % 3 else 0))
-            sexp2 = {n: ctx.arr_scale(exp2[n], eps) for n in exp2}
-            spow2 = {n: ctx.arr_scale(pow2[n], eps) for n in pow2}
-            for m in range(1, m_max + 1):
-                for n in range(1, n_max + 1):
-                    values = ctx.arr_add(exp1[m], sexp2[n])
-                    direct = ctx.arr_add(pow1[m], spow2[n])
-                    if not np.array_equal(values, direct):
-                        raise ArithmeticError(
-                            "binomial expansion disagrees with direct evaluation")
-                    p = FamilyParams(family, q, m, n, eps_spec, ai, bi,
-                                     omega_choice=omega_choice, sign=sign)
-                    table = FnTable(ctx, values)
-                    predicted = ns_condition(ctx, p)
-                    oracle = table.is_permutation()
-                    witness = None
-                    if not oracle:
-                        x1, x2 = table.first_collision()
-                        witness = [ctx.format_idx(x1), ctx.format_idx(x2)]
-                    reports.append(AgreementReport(
-                        family=family, q=q, m=m, n=n,
-                        alpha=ctx.format_idx(d1), beta=ctx.format_idx(d2),
-                        omega=ctx.format_idx(w) if w else "",
-                        sign="-" if sign < 0 else "+",
-                        epsilon={"tag": eps_spec.tag, "value": ctx.format_idx(eps)},
-                        predicted=predicted, oracle=oracle,
-                        agree=predicted == oracle, witness=witness))
+    for variant in _sweep_variants(family, q, eps_list[0]):
+        reports += _variant_reports(ctx, variant, eps_list, ms, ns, fmt)
     return reports
 
 
@@ -484,7 +486,8 @@ def sweep_families(q_list, m_max: int, n_max: int, families=None, seed: int = 0,
                      "detail": f"family {fam} is not admissible at q={q}"})
                 continue
             blocks.append((q, fam, m_max, n_max, seed, cap))
-    if workers > 1 and len(blocks) > 1:
+    workers = min(workers, os.cpu_count() or 1, len(blocks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for reports in pool.map(_run_block, blocks):
                 result.reports.extend(reports)
@@ -655,18 +658,9 @@ def two_trace_check(ctx: ExtensionField, a1: int, a2: int, b1: int, b2: int,
     tr1 = ctx.arr_trace(ctx.arr_scale(xs, a1))
     tr2 = ctx.arr_trace(ctx.arr_scale(xs, a2))
     vals = ctx.arr_add(ctx.arr_scale(g1t[tr1], b1), ctx.arr_scale(g2t[tr2], b2))
-    table = FnTable(ctx, vals)
-    oracle = table.is_permutation()
-    witness = None
-    if not oracle:
-        x1, x2 = table.first_collision()
-        witness = [ctx.format_idx(x1), ctx.format_idx(x2)]
-    return AgreementReport(
-        family=0, q=ctx.base.order, m=0, n=0,
-        alpha=ctx.format_idx(a1), beta=ctx.format_idx(a2), omega="", sign="+",
-        epsilon={"tag": "ext_star", "value": ctx.format_idx(b1)},
-        predicted=predicted, oracle=oracle, agree=predicted == oracle,
-        witness=witness)
+    fmt = ctx.format_idx
+    head = (0, base.order, fmt(a1), fmt(a2), "", "+")
+    return _reports(fmt, head, [(0, 0, "ext_star", b1)], [predicted], vals[None, :])[0]
 
 
 @dataclass

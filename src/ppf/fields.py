@@ -366,7 +366,8 @@ class FieldCtx:
         if e == 0:
             return np.ones_like(u)
         self.ensure_tables()
-        out = self._exp_np[(self._log_np[u] * e) % (self.order - 1)]
+        # reduce e first: log * e must not wrap in int64 (e > 0 keeps 0^e = 0)
+        out = self._exp_np[(self._log_np[u] * (e % (self.order - 1))) % (self.order - 1)]
         return np.where(u == 0, 0, out)
 
     def arr_sum(self, u) -> int:
@@ -714,10 +715,10 @@ _ext_cache: dict = {}
 def build_prime_field(p: int, cap: int | None = None) -> PrimeField:
     """The prime field F_p."""
     cap = DEFAULT_CAP if cap is None else cap
+    if p > cap:  # before the trial-division primality test
+        raise TooLarge(f"order {p} exceeds cap {cap}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if p > cap:
-        raise TooLarge(f"order {p} exceeds cap {cap}")
     if p not in _prime_cache:
         _prime_cache[p] = PrimeField(p)
     return _prime_cache[p]
@@ -733,8 +734,9 @@ def build_extension(base: FieldCtx, d: int, modulus=None,
     cap = DEFAULT_CAP if cap is None else cap
     if d < 2:
         raise BadParams(f"extension degree must be >= 2, got {d}")
-    if base.order ** d > cap:
-        raise TooLarge(f"order {base.order ** d} exceeds cap {cap}")
+    # b^d >= 2^d: reject huge d before computing the power
+    if d > cap.bit_length() or base.order ** d > cap:
+        raise TooLarge(f"order {base.order}^{d} exceeds cap {cap}")
     if modulus is None:
         modulus = find_irreducible(base, d)
     else:

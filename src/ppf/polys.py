@@ -239,15 +239,9 @@ class FnTable:
         return int(np.bincount(self.values, minlength=self.ctx.order).max()) == 1
 
     def first_collision(self):
-        """Some pair (x1, x2), x1 != x2, with equal images; None if bijective."""
-        order = np.argsort(self.values, kind="stable")
-        sv = self.values[order]
-        eq = np.nonzero(sv[1:] == sv[:-1])[0]
-        if eq.size == 0:
-            return None
-        i = int(eq[0])
-        a, b = int(order[i]), int(order[i + 1])
-        return (min(a, b), max(a, b))
+        """Some pair (x1, x2), x1 < x2, with equal images; None if bijective."""
+        hit, x1, x2 = first_collisions(self.values[None, :])
+        return (int(x1[0]), int(x2[0])) if hit[0] else None
 
     def compose(self, other: "FnTable") -> "FnTable":
         """self after other: x -> self(other(x))."""
@@ -262,6 +256,28 @@ class FnTable:
         inv = np.empty_like(self.values)
         inv[self.values] = self.ctx.all_indices()
         return FnTable(self.ctx, inv)
+
+
+def first_collisions(rows: np.ndarray):
+    """Row-wise first collision of a 2-D array of element indices.
+
+    Returns boolean and index arrays (hit, x1, x2), one entry per row: hit
+    tells whether the row repeats a value, and then x1 < x2 are the positions
+    of the first equal neighbour pair in the stable sort of the row by value
+    (the smallest repeated value, at its first two positions).  Sorting the
+    distinct keys value * n + position, n the row length, is that stable
+    sort; for entries in [0, n) the keys fit in int64 while n < 3 * 10^9.
+    """
+    n = rows.shape[1]
+    keys = rows * n
+    keys += np.arange(n)
+    keys.sort(axis=1)
+    sv = keys // n
+    eq = sv[:, 1:] == sv[:, :-1]
+    i = eq.argmax(axis=1)[:, None]
+    x1 = np.take_along_axis(keys, i, axis=1)[:, 0] % n
+    x2 = np.take_along_axis(keys, i + 1, axis=1)[:, 0] % n
+    return eq.any(axis=1), x1, x2
 
 
 def is_permutation_poly(p: SparsePoly) -> bool:

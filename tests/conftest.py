@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from ppf.fields import build_extension, build_prime_field, build_tower
@@ -32,3 +35,24 @@ def f25():
 @pytest.fixture(scope="session")
 def f49():
     return build_tower(7, n=2)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds): a context manager that raises TimeoutError in the
+    block once it has run for `seconds` (interrupts Python-level loops)."""
+    return _deadline

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, determinism, report round-trips."""
 
 import json
+from math import gcd
 
 import pytest
 
@@ -190,3 +191,19 @@ def test_cap_flag_beats_env(capsys, monkeypatch):
     monkeypatch.setenv("PPF_CAP", "20")
     code, _, _ = run(capsys, "--cap", "100", "--field", "p=5,n=2", "verify", "x")
     assert code == 0
+
+
+def test_verify_exponent_beyond_int64(capsys):
+    e = 10 ** 24 + 1
+    code, out, err = run(capsys, "--field", "p=5,n=2", "verify", f"x^{e}")
+    permutes = gcd((e - 1) % 24 + 1, 24) == 1
+    assert code == (0 if permutes else 3), err
+    assert f"is_permutation: {permutes}" in out
+
+
+def test_field_over_cap_fails_fast(capsys, deadline):
+    with deadline(1.0):
+        code, _, err = run(capsys, "--field", "p=1000000000000000003", "verify", "x")
+        assert code == 1 and "TooLarge" in err
+        code, _, err = run(capsys, "--field", "p=2,n=100000000", "verify", "x")
+        assert code == 1 and "TooLarge" in err

@@ -1,6 +1,7 @@
 """Field construction, tower arithmetic, Frobenius/trace, subgroup utilities."""
 
 import itertools
+import time
 
 import pytest
 
@@ -207,3 +208,36 @@ def test_embedding_is_stable(f16):
 def test_canonical_generator(f4, f25):
     assert f4.generator == 2
     assert all(f25.element_order(x) < 24 for x in range(1, f25.generator))
+
+
+def test_arr_pow_reduces_large_exponents(f25):
+    """x^e with e far beyond Q-1 induces x^red(e): no int64 wrap, no OverflowError."""
+    xs = f25.all_indices()
+    e = 10 ** 18 + 1                      # red(e) = 17, gcd(17, 24) = 1
+    assert list(f25.arr_pow(xs, e)) == list(f25.arr_pow(xs, 17))
+    assert len(set(f25.arr_pow(xs, e).tolist())) == 25
+    for e in (2 ** 63, 2 ** 64 + 1, 10 ** 24 + 1):
+        red = (e - 1) % 24 + 1
+        assert list(f25.arr_pow(xs, e)) == [f25.pow(x, red) for x in range(25)]
+
+
+def test_arr_pow_keeps_zero_at_multiples_of_the_group_order(f25):
+    # x^24 and x^48 are 0 at 0 and 1 elsewhere; only x^0 is 1 at 0
+    for e in (24, 48, 24 * 10 ** 20):
+        assert list(f25.arr_pow(f25.all_indices(), e)) == [0] + [1] * 24
+    assert list(f25.arr_pow(f25.all_indices(), 0)) == [1] * 25
+
+
+def test_cap_is_checked_before_primality(deadline):
+    with deadline(1.0), pytest.raises(TooLarge):
+        build_prime_field(1000000000000000003)
+
+
+def test_cap_is_checked_before_the_extension_order():
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge) as info:
+        build_extension(build_prime_field(3), 10 ** 8)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(str(info.value)) < 100
+    with pytest.raises(TooLarge):  # 2^21 > 2^20, d = bit length of the cap
+        build_extension(build_prime_field(2), 21)
