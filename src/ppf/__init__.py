@@ -16,7 +16,6 @@ from .fields import (
     build_prime_field,
     build_tower,
     field_for_q_squared,
-    find_order3,
 )
 from .linalg import (
     Basis,

@@ -121,6 +121,12 @@ def _omega(ctx: ExtensionField, choice: int) -> int:
     return w if choice == 1 else ctx.mul(w, w)
 
 
+def _check_mu_index(q: int, idx: int, name: str) -> None:
+    """mu_{q+1} has q + 1 elements, indexed 0..q."""
+    if not 0 <= idx <= q:
+        raise BadParams(f"{name} must lie in 0..{q} (an index into mu_{q + 1}), got {idx}")
+
+
 def validate_params(ctx: ExtensionField, p: FamilyParams) -> None:
     if p.family not in range(1, 9):
         raise BadParams(f"family must be 1..8, got {p.family}")
@@ -134,6 +140,8 @@ def validate_params(ctx: ExtensionField, p: FamilyParams) -> None:
     if p.family == 1:
         if p.alpha_idx is None or p.beta_idx is None:
             raise BadParams("family 1 needs alpha_idx and beta_idx")
+        _check_mu_index(p.q, p.alpha_idx, "alpha_idx")
+        _check_mu_index(p.q, p.beta_idx, "beta_idx")
         if p.alpha_idx == p.beta_idx:
             raise BadParams("family 1 needs distinct alpha, beta")
         if p.epsilon.tag not in ("ext_star", "plus_omega", "minus_omega",
@@ -328,18 +336,19 @@ def _reports(fmt, head: tuple, cells, predicted, values: np.ndarray) -> list:
 
 
 def _variant_reports(ctx: ExtensionField, p: FamilyParams, eps_specs, ms, ns,
-                     fmt) -> list:
+                     fmt, summands) -> list:
     """Reports for the eps x m x n grid of p's variant (family, alpha/beta,
     omega choice, sign; p's own m, n and eps are ignored), in grid order.
 
     Instance (eps, m, n) is the row first[m] + eps * second[n] of one 2-D
     table array, built and decided CHUNK_VALUES table entries at a time.
-    fmt formats element indices (a memo of ctx.format_idx in sweeps).
+    fmt formats element indices and summands(c, d, exponents) builds summand
+    tables (_summand_tables over ctx; sweeps pass per-block memos of both).
     """
     (c1, d1), (c2, d2), w = _branches(ctx, p)
     eps_values = [_eps_value(ctx, s, w) for s in eps_specs]
-    first = _summand_tables(ctx, c1, d1, ms)
-    second = _summand_tables(ctx, c2, d2, ns)
+    first = summands(c1, d1, ms)
+    second = summands(c2, d2, ns)
     cells = [(m, n, s.tag, eps) for s, eps in zip(eps_specs, eps_values)
              for m in ms for n in ns]
     if not cells:
@@ -364,7 +373,8 @@ def check_family(ctx: ExtensionField, p: FamilyParams) -> AgreementReport:
     """Condition vs exhaustive oracle for one instance: the engine on a
     1 x 1 x 1 grid, with the expansion checked against direct evaluation."""
     validate_params(ctx, p)
-    return _variant_reports(ctx, p, [p.epsilon], [p.m], [p.n], ctx.format_idx)[0]
+    return _variant_reports(ctx, p, [p.epsilon], [p.m], [p.n], ctx.format_idx,
+                            functools.partial(_summand_tables, ctx))[0]
 
 
 def params_from_report(record: dict) -> FamilyParams:
@@ -438,16 +448,19 @@ def _sweep_variants(family: int, q: int, eps0: EpsilonSpec) -> list:
 
 def _run_block(args):
     """One (q, family) sweep block: each variant's eps x m x n grid through
-    the batched engine, element strings formatted once per block."""
+    the batched engine, element strings formatted and summand tables built
+    (family 1's first form depends only on alpha, its second only on beta)
+    once per block."""
     q, family, m_max, n_max, seed, cap = args
     ctx = field_for_q_squared(q, cap=cap)
     rng = random.Random(seed * 1_000_003 + q * 1009 + family)
     eps_list = _eps_specs(ctx, family, q, rng)
     ms, ns = range(1, m_max + 1), range(1, n_max + 1)
     fmt = functools.cache(ctx.format_idx)
+    summands = functools.cache(functools.partial(_summand_tables, ctx))
     reports = []
     for variant in _sweep_variants(family, q, eps_list[0]):
-        reports += _variant_reports(ctx, variant, eps_list, ms, ns, fmt)
+        reports += _variant_reports(ctx, variant, eps_list, ms, ns, fmt, summands)
     return reports
 
 
@@ -505,6 +518,7 @@ def example_polys(ctx: ExtensionField, kind: str, alpha_idx: int,
     shape (not via construct_family, and not reduced: exponents may exceed
     Q-1 on small fields); alpha indexes mu_{q+1}."""
     q = ctx.base.order
+    _check_mu_index(q, alpha_idx, "alpha_idx")
     alpha = ctx.subgroup_mu(q + 1)[alpha_idx]
 
     def a(k):
@@ -710,8 +724,10 @@ def pentanomial_identity_check(ctx: ExtensionField, Qe: int, Re: int, Se: int,
     for v in (Qe, Re, Se):
         if not _is_p_power(ctx.p, v):
             raise BadParams(f"{v} is not a power of the characteristic {ctx.p}")
-    if variant == "twisted" and q % 3 != 2:
-        raise BadCongruence("the twisted form needs q = 2 (mod 3)")
+    if variant == "twisted":
+        if q % 3 != 2:
+            raise BadCongruence("the twisted form needs q = 2 (mod 3)")
+        _check_mu_index(q, alpha_idx, "alpha_idx")
     E = Qe + q * Re + Se if variant in ("z1qr", "z2qr") else Qe + Re + Se
     w = _omega(ctx, omega_choice)
     neg, mul, powi = ctx.neg, ctx.mul, ctx.pow

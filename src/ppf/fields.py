@@ -7,11 +7,15 @@ coordinate vector (c_0, ..., c_{d-1}) relative to the power basis of the
 defining modulus, little-endian: idx = c_0 + c_1*b + ... + c_{d-1}*b^{d-1}.
 This makes the canonical enumeration order 0, 1, ..., Q-1 well defined, and
 it embeds each base field into its extensions without re-indexing (the base
-element c has extension index c).
+element c has extension index c).  Unrolled down the tower, an index is the
+base-p digit string of its coordinates over F_p, D = log_p Q digits long, so
+the field is F_p^D as an additive group and addition is digitwise mod p (XOR
+when p = 2) in every context.
 
 Scalar arithmetic is exact (Python ints).  Bulk operations on numpy arrays
-of indices (`arr_*` methods) are backed by lazily built discrete log/exp
-tables and are what the permutation-sweep machinery runs on.
+of indices (`arr_*` methods) are what the permutation-sweep machinery runs
+on: addition, negation and summation work on the base-p digits of the whole
+tower, multiplication and powering on lazily built discrete log/exp tables.
 """
 
 from __future__ import annotations
@@ -60,6 +64,23 @@ def factorize(n: int) -> dict:
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _digitwise_add(u, v, p: int, order: int):
+    """Digitwise sum mod p of index arrays whose entries are base-p digit
+    strings below `order` (field elements, or packed vectors of F_q^n).
+
+    Digit i of u + v is (u // p^i + v // p^i) mod p: the higher digits of each
+    quotient are multiples of p.
+    """
+    if p == 2:
+        return u ^ v
+    out, w = (u + v) % p, p
+    while w < order:
+        u, v = u // p, v // p
+        out += (u + v) % p * w
+        w *= p
     return out
 
 
@@ -338,10 +359,18 @@ class FieldCtx:
     # -- bulk (numpy) arithmetic on index arrays -------------------------
 
     def arr_add(self, u, v):
-        raise NotImplementedError
+        return _digitwise_add(u, v, self.p, self.order)
 
     def arr_neg(self, u):
-        raise NotImplementedError
+        p = self.p
+        if p == 2:
+            return np.copy(u)
+        out, w = (-u) % p, p
+        while w < self.order:
+            u = u // p
+            out += (-u) % p * w
+            w *= p
+        return out
 
     def arr_sub(self, u, v):
         return self.arr_add(u, self.arr_neg(v))
@@ -371,7 +400,16 @@ class FieldCtx:
         return np.where(u == 0, 0, out)
 
     def arr_sum(self, u) -> int:
-        raise NotImplementedError
+        """Sum of all entries (digitwise: per digit the entries' sum mod p)."""
+        p = self.p
+        if p == 2:
+            return int(np.bitwise_xor.reduce(u, axis=None))
+        out, w = 0, 1
+        while w < self.order:
+            out += int(u.sum() % p) * w
+            u = u // p
+            w *= p
+        return out
 
     def all_indices(self):
         return np.arange(self.order, dtype=np.int64)
@@ -420,20 +458,11 @@ class PrimeField(FieldCtx):
             e %= self.p - 1
         return pow(a, e, self.p)
 
-    def arr_add(self, u, v):
-        return (u + v) % self.p
-
-    def arr_neg(self, u):
-        return (-u) % self.p
-
     def arr_mul(self, u, v):
         return (u * v) % self.p
 
     def arr_scale(self, u, c):
         return (u * c) % self.p
-
-    def arr_sum(self, u):
-        return int(u.sum() % self.p)
 
     def __str__(self):
         return f"F_{self.p}"
@@ -465,7 +494,6 @@ class ExtensionField(FieldCtx):
             cur = nxt
             rows.append(list(cur))
         self._red_rows = rows
-        self._digit_w = [base.order ** i for i in range(d)]
 
     # -- representation --------------------------------------------------
 
@@ -491,11 +519,6 @@ class ExtensionField(FieldCtx):
 
     def in_base(self, idx: int) -> bool:
         return idx < self.base.order
-
-    def to_base(self, idx: int) -> int:
-        if not self.in_base(idx):
-            raise BadParams(f"{self.format_idx(idx)} is not in the base field")
-        return idx
 
     # -- scalar arithmetic -------------------------------------------------
 
@@ -579,43 +602,12 @@ class ExtensionField(FieldCtx):
 
     # -- bulk arithmetic ----------------------------------------------------
 
-    def arr_add(self, u, v):
-        b, out = self.base.order, 0
-        uu, vv = u, v
-        for w in self._digit_w:
-            out = out + self.base.arr_add(uu % b, vv % b) * w
-            uu, vv = uu // b, vv // b
-        return out
-
-    def arr_neg(self, u):
-        b, out = self.base.order, 0
-        uu = u
-        for w in self._digit_w:
-            out = out + self.base.arr_neg(uu % b) * w
-            uu = uu // b
-        return out
-
-    def arr_sum(self, u):
-        b, coords = self.base.order, []
-        uu = u
-        for _ in range(self.degree):
-            coords.append(self.base.arr_sum(uu % b))
-            uu = uu // b
-        return self.encode(coords)
-
     @property
     def frob_table(self):
         """Index array: frob_table[x] = x^q (q = base order)."""
         if self._frob_np is None:
             self._frob_np = self.arr_pow(self.all_indices(), self.base.order)
         return self._frob_np
-
-    def arr_frobenius(self, u, i: int = 1):
-        t = self.frob_table
-        out = u
-        for _ in range(i % self.degree):
-            out = t[out]
-        return out
 
     def arr_trace(self, u):
         """Trace of each entry; result entries are base-field indices."""
@@ -771,13 +763,12 @@ def build_tower(p: int, k: int = 1, n: int | None = None, modulus=None,
 
 def field_for_q_squared(q: int, cap: int | None = None) -> ExtensionField:
     """The quadratic extension F_{q^2} over F_q, building F_q from q = p^k."""
+    cap = DEFAULT_CAP if cap is None else cap
+    if q * q > cap:  # before the trial-division factorization
+        raise TooLarge(f"order {q}^2 exceeds cap {cap}")
     f = factorize(q)
     if len(f) != 1:
         raise NotPrime(f"{q} is not a prime power")
     (p, k), = f.items()
     return build_tower(p, k=k, n=2, cap=cap)
 
-
-def find_order3(ctx: FieldCtx) -> int:
-    """Canonical order-3 element of ctx (requires 3 not dividing the characteristic)."""
-    return ctx.order3_element()

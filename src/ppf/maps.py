@@ -27,7 +27,7 @@ from .errors import (
     DimensionMismatch,
     NotPermutation,
 )
-from .fields import ExtensionField, FieldCtx
+from .fields import ExtensionField, FieldCtx, _digitwise_add
 from .linalg import CandidateSet, eta_table, dual_basis, rho_table
 from .polys import FnTable, SparsePoly, compose_univariate, trace_poly
 
@@ -101,12 +101,11 @@ class VectorMap:
         return VectorMap(self.base, self.n, self.table[other.table])
 
     def pointwise_add(self, other: "VectorMap") -> "VectorMap":
+        """Coordinatewise sum: a packed vector is a base-p digit string, like
+        a field index, so this is the fields' digitwise addition."""
         self._check(other)
-        q, out = self.base.order, np.zeros(self.size, dtype=np.int64)
-        for i in range(self.n):
-            d = self.base.arr_add((self.table // q ** i) % q, (other.table // q ** i) % q)
-            out += d * (q ** i)
-        return VectorMap(self.base, self.n, out)
+        return VectorMap(self.base, self.n,
+                         _digitwise_add(self.table, other.table, self.base.p, self.size))
 
     def pointwise_scale(self, c: int) -> "VectorMap":
         q, out = self.base.order, np.zeros(self.size, dtype=np.int64)

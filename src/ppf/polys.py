@@ -129,9 +129,6 @@ class SparsePoly:
             acc = ctx.add(acc, ctx.mul(c, ctx.pow(x, e)))
         return acc
 
-    def eval_elem(self, x: FieldElement) -> FieldElement:
-        return FieldElement(self.ctx, self.eval(x))
-
     def to_table(self) -> "FnTable":
         """Evaluate at every field element, in canonical enumeration order."""
         ctx = self.ctx
@@ -221,10 +218,6 @@ class FnTable:
     def identity(cls, ctx: FieldCtx) -> "FnTable":
         return cls(ctx, ctx.all_indices())
 
-    @classmethod
-    def from_callable(cls, ctx: FieldCtx, fn) -> "FnTable":
-        return cls(ctx, [fn(x) for x in range(ctx.order)])
-
     def __getitem__(self, x: int) -> int:
         return int(self.values[x])
 
@@ -278,10 +271,6 @@ def first_collisions(rows: np.ndarray):
     x1 = np.take_along_axis(keys, i, axis=1)[:, 0] % n
     x2 = np.take_along_axis(keys, i + 1, axis=1)[:, 0] % n
     return eq.any(axis=1), x1, x2
-
-
-def is_permutation_poly(p: SparsePoly) -> bool:
-    return p.to_table().is_permutation()
 
 
 def interpolate(table: FnTable) -> SparsePoly:

@@ -207,3 +207,29 @@ def test_field_over_cap_fails_fast(capsys, deadline):
         assert code == 1 and "TooLarge" in err
         code, _, err = run(capsys, "--field", "p=2,n=100000000", "verify", "x")
         assert code == 1 and "TooLarge" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("lappano", "--q", "1000000000000000003"),
+    ("table1", "--q", "1000000000000000003"),
+    ("family", "--family", "1", "--q", "1000000000000000003", "--m", "1", "--n", "1",
+     "--alpha-idx", "0", "--beta-idx", "1"),
+])
+def test_q_over_cap_fails_fast(capsys, deadline, argv):
+    with deadline(1.0):
+        code, _, err = run(capsys, *argv)
+    assert code == 1 and "TooLarge" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("family", "--family", "1", "--q", "5", "--m", "1", "--n", "1",
+     "--alpha-idx", "100", "--beta-idx", "1", "--epsilon", "2"),
+    # -1 would wrap to index 5, the same element as beta
+    ("family", "--family", "1", "--q", "5", "--m", "1", "--n", "1",
+     "--alpha-idx", "-1", "--beta-idx", "5", "--epsilon", "2"),
+    ("pentanomial", "--q", "5", "--Q", "1", "--R", "1", "--S", "1",
+     "--variant", "twisted", "--alpha-idx", "99"),
+])
+def test_mu_index_out_of_range_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "BadParams" in err and not out

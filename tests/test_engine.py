@@ -132,6 +132,23 @@ def test_summand_mismatch_raises(monkeypatch, f25):
         sweep_families([5], 2, 1, families=[5], seed=0)
 
 
+def test_summands_built_once_per_block(monkeypatch):
+    """Family 1's first form depends only on alpha and its second only on
+    beta: a block expands (q + 1) * (m_max + n_max) summands, not that many
+    per (alpha, beta) pair, and a fresh block builds its own."""
+    real, calls = families.expand_linear_power, []
+
+    def counting(ctx, c, d, e):
+        calls.append((c, d, e))
+        return real(ctx, c, d, e)
+
+    monkeypatch.setattr(families, "expand_linear_power", counting)
+    sweep_families([4], 2, 3, families=[1], seed=0)
+    assert len(calls) == 5 * (2 + 3)
+    sweep_families([4], 2, 3, families=[1], seed=0)
+    assert len(calls) == 2 * 5 * (2 + 3)
+
+
 # -- workers ------------------------------------------------------------------------
 
 

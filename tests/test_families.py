@@ -294,6 +294,22 @@ def test_example_polys_pqrs(f25):
         example_polys(f25, "nope", 0)
 
 
+@pytest.mark.parametrize("alpha_idx, beta_idx", [(6, 1), (100, 1), (-1, 5), (0, 6)])
+def test_family1_mu_indices_in_range(f25, alpha_idx, beta_idx):
+    # mu_6 has indices 0..5; -1 would wrap to mu[5] and make alpha = beta
+    with pytest.raises(BadParams):
+        check_family(f25, FamilyParams(1, 5, 1, 1, eps_ext(2), alpha_idx, beta_idx))
+
+
+@pytest.mark.parametrize("alpha_idx", [6, 99, -1])
+def test_mu_index_in_range_for_examples_and_twisted_pentanomials(f25, alpha_idx):
+    with pytest.raises(BadParams):
+        example_polys(f25, "tri3", alpha_idx)
+    with pytest.raises(BadParams):
+        pentanomial_identity_check(f25, 1, 1, 1, "twisted", alpha_idx=alpha_idx)
+    assert pentanomial_identity_check(f25, 1, 1, 1, "twisted", alpha_idx=5).ok
+
+
 # -- cross-checks ------------------------------------------------------------------
 
 

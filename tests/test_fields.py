@@ -21,7 +21,6 @@ from ppf.fields import (
     build_prime_field,
     build_tower,
     field_for_q_squared,
-    find_order3,
     is_irreducible,
     is_prime,
 )
@@ -163,12 +162,12 @@ def test_subgroup_mu_order_profile(f25):
 
 
 def test_find_order3(f4, f49):
-    w = find_order3(f4)
+    w = f4.order3_element()
     assert f4.pow(w, 3) == 1 and w != 1
     with pytest.raises(CharThree):
-        find_order3(build_tower(3, n=2))
+        build_tower(3, n=2).order3_element()
     # q = 7 = 1 (mod 3): the order-3 element lies in the base field
-    w49 = find_order3(f49)
+    w49 = f49.order3_element()
     assert f49.frobenius(w49) == w49 and f49.in_base(w49)
 
 
@@ -231,6 +230,14 @@ def test_arr_pow_keeps_zero_at_multiples_of_the_group_order(f25):
 def test_cap_is_checked_before_primality(deadline):
     with deadline(1.0), pytest.raises(TooLarge):
         build_prime_field(1000000000000000003)
+
+
+def test_field_for_q_squared_checks_the_cap_before_factorizing(deadline):
+    with deadline(1.0), pytest.raises(TooLarge):
+        field_for_q_squared(1000000000000000003)
+    with pytest.raises(TooLarge):
+        field_for_q_squared(7, cap=48)
+    assert field_for_q_squared(7, cap=49).order == 49
 
 
 def test_cap_is_checked_before_the_extension_order():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ppf.errors import ComponentNotPermutation, NotPermutation
-from ppf.fields import build_extension, build_prime_field, field_for_q_squared
+from ppf.fields import build_extension, build_prime_field, build_tower, field_for_q_squared
 from ppf.linalg import Basis, dual_basis, eta_table, rho_table
 from ppf.maps import (
     ComponentPerms,
@@ -18,8 +18,10 @@ from ppf.maps import (
     compose_field_map,
     compose_corollary_vec,
     monomial_family,
+    pack_vector,
     psi,
     psi_inverse,
+    unpack_vector,
 )
 from ppf.polys import FnTable, SparsePoly, monomial
 
@@ -216,3 +218,16 @@ def test_psi_scaling_linear(f9):
         lhs = psi(v.elems, g.pointwise_scale(c), f9)
         rhs = f9.arr_scale(psi(v.elems, g, f9).values, f9.embed(c))
         assert np.array_equal(lhs.values, rhs)
+
+
+@pytest.mark.parametrize("p, k, n", [(2, 1, 3), (2, 2, 2), (3, 1, 3), (3, 2, 2), (5, 1, 2),
+                                     (2, 3, 2)])
+def test_pointwise_add_is_coordinatewise_base_addition(p, k, n):
+    base = build_tower(p, k=k)
+    q, rng = base.order, random.Random(p * 100 + k * 10 + n)
+    g1 = VectorMap.random_map(base, n, rng)
+    g2 = VectorMap.random_map(base, n, rng)
+    expected = [pack_vector(q, [base.add(x, y) for x, y in
+                                zip(unpack_vector(q, n, s), unpack_vector(q, n, t))])
+                for s, t in zip(g1.table.tolist(), g2.table.tolist())]
+    assert g1.pointwise_add(g2).table.tolist() == expected
