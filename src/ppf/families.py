@@ -46,6 +46,7 @@ from .errors import (
     BadModulusClass,
     BadParams,
     EpsilonDomain,
+    NoSolution,
     ZeroElement,
 )
 from .fields import ExtensionField, field_for_q_squared
@@ -324,7 +325,7 @@ def _reports(fmt, head: tuple, cells, predicted, values: np.ndarray) -> list:
 
     head: (family, q, alpha, beta, omega, sign), shared by the rows; cells:
     (m, n, eps tag, eps) per row; predicted: the condition per row.  One
-    row-wise collision search gives every verdict and first witness.
+    row-wise count gives every verdict and first witness.
     """
     family, q, alpha, beta, omega, sign = head
     hit, x1, x2 = first_collisions(values)
@@ -597,11 +598,11 @@ class TraceIdentityReport:
 
 def _solutions_of_power(ctx: ExtensionField, lam: int) -> list:
     """All a with a^(q-1) = lam (empty when lam is outside the image subgroup)."""
-    q = ctx.base.order
-    if ctx.pow(lam, (ctx.order - 1) // (q - 1) if q > 2 else ctx.order - 1) != 1:
+    try:
+        a0 = ctx.solve_power_q_minus_1(lam)
+    except NoSolution:
         return []
-    a0 = ctx.solve_power_q_minus_1(lam)
-    return [ctx.mul(a0, c) for c in range(1, q)] if q > 2 else [a0]
+    return [ctx.mul(a0, c) for c in range(1, ctx.base.order)]
 
 
 def trace_identity_check(ctx: ExtensionField, part: int, omega_choice: int = 1,
@@ -611,11 +612,17 @@ def trace_identity_check(ctx: ExtensionField, part: int, omega_choice: int = 1,
 
     Parts 2/3 need 3 not dividing q; parts 4/6 need q = 1 (mod 3); parts
     5/7 need q = 2 (mod 3).  A part whose constraint has no admissible a is
-    vacuously true (admissible_count = 0).
+    vacuously true (admissible_count = 0).  An explicit alpha restricts part
+    1 to that one element of mu_{q+1}.
     """
     q = ctx.base.order
     if part not in range(1, 8):
         raise BadParams(f"part must be 1..7, got {part}")
+    if alpha is not None:
+        if part != 1:
+            raise BadParams(f"alpha applies to part 1 only, not part {part}")
+        if not 0 < alpha < ctx.order or ctx.pow(alpha, q + 1) != 1:
+            raise BadParams(f"alpha = {ctx.format_idx(alpha)} is not in mu_{q + 1}")
     if part in (2, 3) and q % 3 == 0:
         raise BadCongruence("parts 2 and 3 need 3 not dividing q")
     if part in (4, 6) and q % 3 != 1:

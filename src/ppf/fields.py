@@ -579,26 +579,14 @@ class ExtensionField(FieldCtx):
     def solve_power_q_minus_1(self, lam: int) -> int:
         """Canonical a with a^(q-1) = lam, q the base order.
 
-        Solvable iff lam lies in the image subgroup (order (Q-1)/(q-1));
-        the canonical solution is g^t for the least t with g^(t(q-1)) = lam.
+        The canonical solution is g^t for the least t with g^(t(q-1)) = lam,
+        that is t = log lam / (q-1); there is none unless q-1 divides log lam.
         """
         q = self.base.order
-        m = (self.order - 1) // (q - 1) if q > 2 else self.order - 1
-        if q == 2:
-            # x^(q-1) = x^1: every lam has itself as preimage
-            if lam == 0:
-                raise NoSolution("0 is not a (q-1)-th power of a unit")
-            return lam
-        if lam == 0 or self.pow(lam, m) != 1:
-            raise NoSolution(f"{self.format_idx(lam)}^{m} != 1: no a with a^(q-1) = lam")
-        g = self.generator
-        h = self.pow(g, q - 1)
-        cur = 1
-        for t in range(m):
-            if cur == lam:
-                return self.pow(g, t)
-            cur = self.mul(cur, h)
-        raise NoSolution("discrete log scan failed")  # pragma: no cover
+        self.ensure_tables()
+        if lam == 0 or self._log[lam] % (q - 1):
+            raise NoSolution(f"no a with a^{q - 1} = {self.format_idx(lam)}")
+        return self._exp[self._log[lam] // (q - 1)]
 
     # -- bulk arithmetic ----------------------------------------------------
 
@@ -631,16 +619,6 @@ def _poly_trim(cs):
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
-
-
-def _poly_mul(base: FieldCtx, a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = base.add(out[i + j], base.mul(x, y))
-    return _poly_trim(out)
 
 
 def _poly_divmod(base: FieldCtx, num, den):

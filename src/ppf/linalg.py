@@ -44,10 +44,13 @@ def from_coords(ctx: ExtensionField, coords) -> int:
     return ctx.encode(list(coords))
 
 
-def _rank(base: FieldCtx, rows) -> int:
-    """Row rank over the base field by Gaussian elimination (exact)."""
+def _reduce(base: FieldCtx, rows, ncols: int):
+    """Gauss-Jordan elimination over the base field (exact), pivoting on the
+    first ncols columns and carrying any further columns along.
+
+    Returns the reduced rows and the rank of their first ncols columns.
+    """
     rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
     rank, col = 0, 0
     while rank < len(rows) and col < ncols:
         piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
@@ -60,30 +63,18 @@ def _rank(base: FieldCtx, rows) -> int:
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 f = rows[r][col]
-                rows[r] = [base.sub(rows[r][j], base.mul(f, rows[rank][j]))
-                           for j in range(ncols)]
+                rows[r] = [base.sub(v, base.mul(f, w)) for v, w in zip(rows[r], rows[rank])]
         rank += 1
         col += 1
-    return rank
+    return rows, rank
 
 
 def _solve_all(base: FieldCtx, matrix):
     """Inverse of a square matrix over the base field; None if singular."""
     n = len(matrix)
     aug = [list(matrix[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = base.inv(aug[col][col])
-        aug[col] = [base.mul(inv, v) for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [base.sub(aug[r][j], base.mul(f, aug[col][j]))
-                          for j in range(2 * n)]
-    return [row[n:] for row in aug]
+    rows, rank = _reduce(base, aug, n)
+    return [row[n:] for row in rows] if rank == n else None
 
 
 def is_linearly_independent(ctx: ExtensionField, cand: CandidateSet) -> bool:
@@ -93,7 +84,7 @@ def is_linearly_independent(ctx: ExtensionField, cand: CandidateSet) -> bool:
         return True
     if len(elems) > ctx.degree:
         return False
-    return _rank(ctx.base, [ctx.decode(x) for x in elems]) == len(elems)
+    return _reduce(ctx.base, [ctx.decode(x) for x in elems], ctx.degree)[1] == len(elems)
 
 
 class Basis:

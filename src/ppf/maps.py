@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fields import ExtensionField, FieldCtx, _digitwise_add
 from .linalg import CandidateSet, eta_table, dual_basis, rho_table
-from .polys import FnTable, SparsePoly, compose_univariate, trace_poly
+from .polys import FnTable, SparsePoly, _row_counts, compose_univariate, trace_poly
 
 
 def unpack_vector(q: int, n: int, t: int) -> tuple:
@@ -93,7 +93,7 @@ class VectorMap:
             raise CtxMismatch("vector maps over different spaces")
 
     def is_permutation(self) -> bool:
-        return int(np.bincount(self.table, minlength=self.size).max()) == 1
+        return int(_row_counts(self.table[None, :]).max()) == 1
 
     def compose(self, other: "VectorMap") -> "VectorMap":
         """self after other."""

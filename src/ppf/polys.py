@@ -6,9 +6,11 @@ and x^0 induce different functions (they differ at 0), hence collapsing
 exponents into [0, Q-2] would be unsound.
 
 Function tables (FnTable) are numpy index arrays over the canonical element
-enumeration; bijectivity is decided by exhaustive counting, which at desk
+enumeration.  Bijectivity is decided by exhaustive counting, which at desk
 scale doubles as the independent oracle for every algebraic condition in
-the family modules.
+the family modules: one row-wise count (`_row_counts`) gives every verdict,
+for single tables and vector-space maps as for the sweep's 2-D table
+arrays, and `first_collisions` reads each witness off the same counts.
 """
 
 from __future__ import annotations
@@ -229,7 +231,7 @@ class FnTable:
         return hash((id(self.ctx), self.values.tobytes()))
 
     def is_permutation(self) -> bool:
-        return int(np.bincount(self.values, minlength=self.ctx.order).max()) == 1
+        return int(_row_counts(self.values[None, :]).max()) == 1
 
     def first_collision(self):
         """Some pair (x1, x2), x1 < x2, with equal images; None if bijective."""
@@ -251,26 +253,36 @@ class FnTable:
         return FnTable(self.ctx, inv)
 
 
+def _row_counts(rows: np.ndarray) -> np.ndarray:
+    """How often each value occurs in each row of a 2-D index array.
+
+    Entries must lie in [0, n), n the row length; counts[r, v] is the number
+    of times row r takes the value v, so row r is a bijection of [0, n) iff
+    no count exceeds 1.  All rows are counted by one bincount, each row's
+    values shifted by r * n.
+    """
+    r, n = rows.shape
+    if rows.size and rows.view(np.uint64).max() >= n:   # negatives wrap above 2^63
+        raise BadParams(f"table entries must lie in [0, {n})")
+    if r > 1:
+        rows = rows + np.arange(0, r * n, n)[:, None]
+    return np.bincount(rows.ravel(), minlength=r * n).reshape(r, n)
+
+
 def first_collisions(rows: np.ndarray):
     """Row-wise first collision of a 2-D array of element indices.
 
     Returns boolean and index arrays (hit, x1, x2), one entry per row: hit
-    tells whether the row repeats a value, and then x1 < x2 are the positions
-    of the first equal neighbour pair in the stable sort of the row by value
-    (the smallest repeated value, at its first two positions).  Sorting the
-    distinct keys value * n + position, n the row length, is that stable
-    sort; for entries in [0, n) the keys fit in int64 while n < 3 * 10^9.
+    tells whether the row repeats a value, and then x1 < x2 are the first
+    two positions of its smallest repeated value.  x1 and x2 are meaningless
+    where hit is False.
     """
-    n = rows.shape[1]
-    keys = rows * n
-    keys += np.arange(n)
-    keys.sort(axis=1)
-    sv = keys // n
-    eq = sv[:, 1:] == sv[:, :-1]
-    i = eq.argmax(axis=1)[:, None]
-    x1 = np.take_along_axis(keys, i, axis=1)[:, 0] % n
-    x2 = np.take_along_axis(keys, i + 1, axis=1)[:, 0] % n
-    return eq.any(axis=1), x1, x2
+    dup = _row_counts(rows) > 1
+    i, value = np.arange(len(rows)), dup.argmax(axis=1)
+    at = rows == value[:, None]
+    x1 = at.argmax(axis=1)
+    at[i, x1] = False
+    return dup[i, value], x1, at.argmax(axis=1)
 
 
 def interpolate(table: FnTable) -> SparsePoly:

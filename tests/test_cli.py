@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, determinism, report round-trips."""
 
+import hashlib
 import json
 from math import gcd
 
@@ -160,6 +161,16 @@ def test_lemma31_command(capsys):
     assert code == 0 and "ok=True" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("lemma31", "--q", "5", "--part", "1", "--alpha", "2"),    # 2^6 = 4 in F_25
+    ("lemma31", "--q", "5", "--part", "2", "--alpha", "(4,0)"),
+])
+def test_lemma31_alpha_outside_mu_or_part_is_a_usage_error(capsys, deadline, argv):
+    with deadline(1.0):
+        code, out, err = run(capsys, *argv)
+    assert code == 1 and "BadParams" in err and not out
+
+
 def test_pentanomial_command(capsys):
     code, out, _ = run(capsys, "pentanomial", "--q", "5", "--Q", "1", "--R", "1",
                        "--S", "1", "--variant", "z1")
@@ -233,3 +244,63 @@ def test_q_over_cap_fails_fast(capsys, deadline, argv):
 def test_mu_index_out_of_range_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and "BadParams" in err and not out
+
+
+# sha256 of `ppf --seed S --format json ...` output, with the expected exit
+# code.  For a fixed seed the JSON output is byte-identical across internal
+# changes: verdicts, witnesses and every other byte.
+PINNED_OUTPUTS = [
+    (("0", "family", "--family", "1", "--q", "4", "--m", "3", "--n", "3",
+      "--alpha-idx", "0", "--beta-idx", "1", "--epsilon", "1"), 0,
+     "ea66a03f02a08a4141a9f728c0505f3e48d585a5d9102c73f1fa01e69bf21d21"),
+    (("7", "family", "--family", "2", "--q", "7", "--m", "1", "--n", "1",
+      "--epsilon", "(1,0)"), 2,
+     "59596b4c25516bd34717e4beb85e795b98b6a7c10cb041513a49ede75b2368f2"),
+    (("0", "family", "--family", "3", "--q", "7", "--m", "2", "--n", "2",
+      "--epsilon", "1"), 0,
+     "0f84af2aa35304c085a2f9f06eeffefea4e9fc6634e3c73bb695d9a435226855"),
+    (("7", "family", "--family", "5", "--q", "8", "--m", "3", "--n", "3",
+      "--epsilon", "1"), 0,
+     "5aa1b935da78a7f59d9ab92c5f95a033882f09b1f2308e793fa650977ef7fdba"),
+    (("0", "family", "--family", "1", "--q", "13", "--m", "2", "--n", "2",
+      "--alpha-idx", "3", "--beta-idx", "5", "--epsilon", "2"), 0,
+     "0dfc0c6a9b0bc93b4995fb79f09e01a4e99428f0ccb24dbab7230c46815cdeee"),
+    (("7", "family", "--family", "4", "--q", "13", "--m", "1", "--n", "3",
+      "--epsilon", "2", "--omega", "2"), 0,
+     "c90289f97a66d4d9d6b58452008148ef4c5ebddd1f9f5564ebef3946b543dda8"),
+    (("0", "--field", "p=2,k=4,n=2", "verify", "(a3)*x^14"), 0,
+     "acd59a02e4870c82c44a2a28b5c7fe76f0794f9c2d2f08f3848835bdb9912501"),
+    (("7", "--field", "p=2,k=4,n=2", "verify", "x^3 + (a5)*x^16"), 3,
+     "07a3c72b21db8f4ab4c632b3dc0938b1e95cb93536c63dcbb235f2008ab9774e"),
+    (("0", "--field", "p=3,n=2", "ast-check", "--trials", "20"), 0,
+     "f0659d2c353932e5a6b316670d8aee2db38a1dca012c7d57eb13e5e790838216"),
+    (("7", "--field", "p=2,n=3", "ast-check", "--trials", "20"), 0,
+     "a7247498c97f20d12bb646ce02f9d85efb72c043b5bdfb803b73efdf0c0070e1"),
+    (("7", "--field", "p=3,n=2", "psi-check", "--trials", "20"), 0,
+     "fd0065b40d0137a59c530e00f057086dc2cb299d11473f4f3ca38f41485be6e9"),
+    (("0", "--field", "p=2,n=3", "psi-check", "--trials", "20"), 0,
+     "99f462930991fbed82e054c72a76c9783b742ced9f8f7c541da6714591325b97"),
+    (("0", "lappano", "--q", "13"), 2,
+     "d4c84450fd403f955eb05c112e579ba7c61c10b33bcb26e0605846961ff00cc6"),
+    (("7", "lemma31", "--q", "5", "--part", "1"), 0,
+     "d681faa9565036feee4c538b580eb3caf8f07084e48e292421875124819870b8"),
+    (("0", "lemma31", "--q", "8", "--part", "5"), 0,
+     "94b65f74bfc34fb65e2541053192626ba47136759b6ebcb207f992fbb0122b88"),
+    (("0", "pentanomial", "--q", "5", "--Q", "1", "--R", "1", "--S", "1",
+      "--variant", "z1"), 0,
+     "0071a30a118ca750179719c1fb8ce10f3d3bcf87301762d876eaa0bd7eae50e7"),
+    (("7", "pentanomial", "--q", "4", "--Q", "1", "--R", "2", "--S", "2",
+      "--variant", "z1"), 2,
+     "87eae24c6e261da93d98f8eaa1b4d453904a8dc99586c2c04a318a29c7d16388"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_OUTPUTS,
+                         ids=[f"{a[1] if a[1] != '--field' else a[3]}-{i}"
+                              for i, (a, _, _) in enumerate(PINNED_OUTPUTS)])
+def test_json_output_pinned(tmp_path, capsys, argv, code, digest):
+    seed, *rest = argv
+    out = tmp_path / "out.json"
+    assert main(["--seed", seed, "--format", "json", "--out", str(out), *rest]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    capsys.readouterr()

@@ -5,6 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppf import families
 from ppf.cli import main
@@ -21,6 +22,7 @@ from ppf.families import (
     ns_condition,
     sweep_families,
 )
+from ppf.polys import first_collisions
 
 # `ppf --seed 0 --format json table1 --q 2,4,5,7,8 --m-max 4 --n-max 4` before
 # the batched engine: 136,416 instances, 80 disagreements
@@ -68,9 +70,53 @@ def stable_argsort_collision(values):
     return min(a, b), max(a, b)
 
 
+def _check_rows(rows):
+    hit, x1, x2 = first_collisions(rows)
+    for r, row in enumerate(rows):
+        want = stable_argsort_collision(row)
+        assert bool(hit[r]) == (want is not None)
+        if want is not None:
+            assert (int(x1[r]), int(x2[r])) == want
+
+
+@st.composite
+def index_rows(draw):
+    """R x n index arrays: random rows (mostly colliding), planted
+    permutations, and planted collisions at value 0 or the last position."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["random", "perm", "zero", "last"]),
+                              min_size=1, max_size=6)):
+        row = rng.permutation(n)
+        if kind == "random":
+            row = rng.integers(0, n, n)
+        elif kind == "zero" and n > 1:   # a second 0, anywhere but at the first
+            row[(row.argmin() + rng.integers(1, n)) % n] = 0
+        elif kind == "last" and n > 1:
+            row[-1] = row[rng.integers(0, n - 1)]
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=index_rows())
+def test_first_collisions_match_the_stable_sort(rows):
+    _check_rows(rows)
+
+
+def test_first_collisions_on_a_large_row():
+    rng = np.random.default_rng(5)
+    perm = rng.permutation(1 << 16)
+    hit = perm.copy()
+    hit[[40_000, 65_535]] = hit[[7, 9]]      # two collisions; the smaller value wins
+    _check_rows(np.array([perm, hit]))
+
+
 def reference_report(ctx, p):
     table = construct_family(ctx, p).to_table()
-    oracle = table.is_permutation()
+    collision = stable_argsort_collision(table.values)
+    oracle = collision is None
     predicted = ns_condition(ctx, p)
     fmt = ctx.format_idx
     if p.family == 1:
@@ -84,7 +130,7 @@ def reference_report(ctx, p):
         beta = {2: omega if p.sign == 1 else ctx.neg(omega), 3: 1, 4: ctx.neg(1),
                 5: omega, 6: ctx.neg(omega), 7: 1, 8: ctx.neg(1)}[p.family]
         eps = p.epsilon.resolve(ctx, omega)
-    witness = None if oracle else [fmt(x) for x in stable_argsort_collision(table.values)]
+    witness = None if oracle else [fmt(x) for x in collision]
     return AgreementReport(
         family=p.family, q=p.q, m=p.m, n=p.n, alpha=fmt(alpha), beta=fmt(beta),
         omega=fmt(omega) if omega else "", sign="-" if p.sign < 0 else "+",

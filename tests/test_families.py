@@ -395,11 +395,17 @@ def test_trace_identities_q7_vacuous(f49):
         trace_identity_check(f49, 5)
 
 
-def test_trace_identity_no_witness_alpha(f25):
-    # alpha outside mu_{q+1}: no admissible a, vacuously true
-    g = f25.generator
-    rep = trace_identity_check(f25, 1, alpha=g)
-    assert rep.ok and rep.admissible_count == 0
+def test_trace_identity_alpha_outside_mu_raises(f25):
+    # an explicit alpha outside mu_{q+1} has no admissible a: an error, not
+    # a vacuous pass
+    for alpha in (f25.generator, 2, 0, f25.order):
+        with pytest.raises(BadParams, match="not in mu_6"):
+            trace_identity_check(f25, 1, alpha=alpha)
+    mu = f25.subgroup_mu(6)
+    rep = trace_identity_check(f25, 1, alpha=mu[1])
+    assert rep.ok and rep.admissible_count == 4
+    with pytest.raises(BadParams, match="part 1 only"):
+        trace_identity_check(f25, 2, alpha=mu[1])
 
 
 def test_two_trace_composites(f9, f25):

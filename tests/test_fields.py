@@ -180,6 +180,23 @@ def test_solve_power_q_minus_1(f25):
         f25.solve_power_q_minus_1(f25.generator)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_solve_power_q_minus_1_matches_a_scan(q):
+    """Against the definition: g^t for the least t with g^(t(q-1)) = lam,
+    scanning t over the image subgroup, and NoSolution (lam = 0 included)
+    when no t exists."""
+    ctx = field_for_q_squared(q)
+    g, m = ctx.generator, (ctx.order - 1) // (q - 1)
+    powers = [ctx.pow(g, t * (q - 1)) for t in range(m)]
+    for lam in range(ctx.order):
+        if lam in powers:
+            a = ctx.solve_power_q_minus_1(lam)
+            assert a == ctx.pow(g, powers.index(lam)) and ctx.pow(a, q - 1) == lam
+        else:
+            with pytest.raises(NoSolution):
+                ctx.solve_power_q_minus_1(lam)
+
+
 def test_element_wrappers(f25):
     x = f25.element(7)
     assert (x / x) == f25.one()

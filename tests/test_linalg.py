@@ -1,14 +1,17 @@
 """Coordinates, independence, dual bases, the two homomorphisms, kernels."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
 from ppf.errors import DimensionMismatch, NotABasis, SingularGram
-from ppf.fields import field_for_q_squared
+from ppf.fields import build_tower, field_for_q_squared
 from ppf.linalg import (
     Basis,
+    _reduce,
+    _solve_all,
     coords_of,
     dual_basis,
     eta,
@@ -185,3 +188,39 @@ def test_bijectivity_iff_independent_f9(f9):
             et = eta_table(f9, [v1, v2])
             assert (int(np.bincount(rt, minlength=size).max()) == 1) == indep
             assert (int(np.bincount(et, minlength=size).max()) == 1) == indep
+
+
+def _span_size(base, rows):
+    """|span of rows| by enumerating every linear combination."""
+    ncols = len(rows[0])
+    span = set()
+    for coeffs in itertools.product(range(base.order), repeat=len(rows)):
+        vec = [0] * ncols
+        for c, row in zip(coeffs, rows):
+            vec = [base.add(v, base.mul(c, x)) for v, x in zip(vec, row)]
+        span.add(tuple(vec))
+    return len(span)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2)])
+def test_elimination_rank_and_inverse_match_span_counts(p, k):
+    """Rank r iff the rows span q^r vectors; a square matrix has an inverse
+    (M M^-1 = I) iff its rows span all of F_q^n, else _solve_all is None."""
+    base = build_tower(p, k=k)
+    q, rng = base.order, np.random.default_rng(p * 10 + k)
+    for _ in range(150):
+        n = int(rng.integers(1, 4))
+        nrows = int(rng.integers(1, 4))
+        rows = rng.integers(0, q, (nrows, n)).tolist()
+        if rng.random() < 0.3:   # force a dependent row
+            rows[-1] = rows[0]
+        assert q ** _reduce(base, rows, n)[1] == _span_size(base, rows)
+        square = rng.integers(0, q, (n, n)).tolist()
+        inv = _solve_all(base, square)
+        if _span_size(base, square) < q ** n:
+            assert inv is None
+        else:
+            prod = [[functools.reduce(base.add, (base.mul(square[i][l], inv[l][j])
+                                                 for l in range(n)), 0)
+                     for j in range(n)] for i in range(n)]
+            assert prod == [[int(i == j) for j in range(n)] for i in range(n)]

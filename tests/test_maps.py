@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from ppf.errors import ComponentNotPermutation, NotPermutation
+from ppf.errors import BadParams, ComponentNotPermutation, NotPermutation
 from ppf.fields import build_extension, build_prime_field, build_tower, field_for_q_squared
 from ppf.linalg import Basis, dual_basis, eta_table, rho_table
 from ppf.maps import (
@@ -231,3 +231,10 @@ def test_pointwise_add_is_coordinatewise_base_addition(p, k, n):
                                 zip(unpack_vector(q, n, s), unpack_vector(q, n, t))])
                 for s, t in zip(g1.table.tolist(), g2.table.tolist())]
     assert g1.pointwise_add(g2).table.tolist() == expected
+
+
+@pytest.mark.parametrize("table", [[0, 1, 2, 7], [0, 1, 2, -1], [4, 1, 2, 3]])
+def test_vector_map_entries_out_of_range_raise(f2, table):
+    # [0, 1, 2, 7] has no repeated value, but 7 is not a vector of F_2^2
+    with pytest.raises(BadParams, match=r"\[0, 4\)"):
+        VectorMap(f2, 2, table).is_permutation()

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from ppf.errors import NotPermutation, ParseError
+from ppf.errors import BadParams, NotPermutation, ParseError
 from ppf.fields import build_tower
 from ppf.polys import (
     FnTable,
@@ -93,6 +93,15 @@ def test_is_permutation(f4):
     assert set(cube.values[1:]) == {1}
     collision = cube.first_collision()
     assert collision is not None and cube[collision[0]] == cube[collision[1]]
+
+
+@pytest.mark.parametrize("values", [[0, 1, 2, 4], [0, 1, 2, -1], [7, 1, 2, 3]])
+def test_table_entries_out_of_range_raise(f4, values):
+    # [0, 1, 2, 4] has no repeated value, but 4 is not an element of F_4
+    table = FnTable(f4, values)
+    for check in (table.is_permutation, table.first_collision, table.inverse):
+        with pytest.raises(BadParams, match=r"\[0, 4\)"):
+            check()
 
 
 def test_inverse_tables(f9, f25):
