@@ -43,3 +43,11 @@ print(f"a with a^4 = -1: {f25.format_idx(a)}; check: {f25.format_idx(f25.pow(a, 
 f16 = build_tower(2, k=2, n=2)
 print("\nF_16 over F_4: modulus", f16.modulus, "| base order", f16.base.order)
 print("traces into F_4:", sorted({f16.trace(v) for v in range(16)}))
+
+# The largest field under the default cap, Q = 2^20, as F_2 -> F_{2^10} ->
+# F_{(2^10)^2}: the modulus comes from Rabin's irreducibility test, and the
+# generator and the log/exp tables from array arithmetic, so it builds quickly.
+cap_tower = build_tower(2, k=10, n=2)
+print("\nF_{2^20} over F_{2^10}: modulus", cap_tower.modulus,
+      "| F_{2^10} modulus", cap_tower.base.modulus)
+print("canonical generator:", cap_tower.format_idx(cap_tower.generator))

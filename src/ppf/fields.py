@@ -12,13 +12,23 @@ base-p digit string of its coordinates over F_p, D = log_p Q digits long, so
 the field is F_p^D as an additive group and addition is digitwise mod p (XOR
 when p = 2) in every context.
 
-Scalar arithmetic is exact (Python ints).  Bulk operations on numpy arrays
-of indices (`arr_*` methods) are what the permutation-sweep machinery runs
-on: addition, negation and summation work on the base-p digits of the whole
-tower, multiplication and powering on lazily built discrete log/exp tables.
+Every context is built with its discrete log/exp tables (int64 arrays)
+before it is handed out.  Construction needs no tables of its own: the
+modulus comes from Rabin's irreducibility test in scalar base arithmetic,
+and the canonical generator and the exp table from a structural array
+multiply (coordinate convolution over the base, then reduction by the
+modulus), so a tower of low-degree steps builds in well under a second up
+to the 2^20 cap.  After
+that, scalar multiplication, powers, inverses and element orders are table
+lookups, and bulk operations on numpy arrays of indices (`arr_*` methods),
+which the permutation-sweep machinery runs on, work on the base-p digits of
+the whole tower (addition, negation, summation) or on the tables
+(multiplication, powering).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -35,6 +45,7 @@ from .errors import (
 )
 
 DEFAULT_CAP = 1 << 20
+_GENERATOR_CHUNK = 64  # candidates tested per array pass of the generator search
 
 
 def is_prime(n: int) -> bool:
@@ -202,13 +213,11 @@ class FieldCtx:
 
     def __init__(self):
         self._generator = None
-        self._exp = None      # list, exp[i] = g^i for i in [0, order-2]
-        self._log = None      # list, log[x] = i with g^i = x; log[0] = -1
-        self._exp_np = None
-        self._log_np = None
+        self._exp_np = None   # exp[i] = g^i for i in [0, order-2]
+        self._log_np = None   # log[x] = i with g^i = x; log[0] = -1
+        self._exp = None      # zero-copy memoryviews of the two arrays,
+        self._log = None      # for scalar lookups that yield Python ints
         self._frob_np = None
-        self._order_factors = None
-        self._mu_cache = {}
 
     # -- representation ------------------------------------------------
 
@@ -258,12 +267,14 @@ class FieldCtx:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in {self}")
-        return self.pow(a, self.order - 2)
+        return self._exp[-self._log[a] % (self.order - 1)]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -273,82 +284,98 @@ class FieldCtx:
             a, e = self.inv(a), -e
         if a == 0:
             return 1 if e == 0 else 0
-        if self._log is not None:
-            return self._exp[(self._log[a] * e) % (self.order - 1)]
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
+        return self._exp[(self._log[a] * e) % (self.order - 1)]
 
     # -- multiplicative structure ---------------------------------------
 
-    def _factors_of_group_order(self):
-        if self._order_factors is None:
-            self._order_factors = factorize(self.order - 1) if self.order > 2 else {}
-        return self._order_factors
-
     def element_order(self, a: int) -> int:
-        """Least t >= 1 with a^t = 1, via exponent descent on order-1."""
+        """Least t >= 1 with a^t = 1: (order-1) / gcd(log a, order-1)."""
         if a == 0:
             raise ZeroElement(f"order of 0 in {self}")
-        t = self.order - 1
-        for ell in self._factors_of_group_order():
-            while t % ell == 0 and self.pow(a, t // ell) == 1:
-                t //= ell
-        return t
+        n = self.order - 1
+        return n // math.gcd(self._log[a], n)
 
     @property
     def generator(self) -> int:
-        """Smallest index (canonical enumeration) of full multiplicative order."""
+        """Smallest index (canonical enumeration) of full multiplicative order.
+
+        Tests _GENERATOR_CHUNK candidates per pass: a has full order iff
+        a^((order-1)/l) != 1 for every prime l dividing order-1.  Needs no
+        tables (powers by the structural multiply).
+        """
         if self._generator is None:
             n = self.order - 1
-            for cand in range(1, self.order):
-                if self.element_order(cand) == n:
-                    self._generator = cand
+            cofactors = [n // ell for ell in factorize(n)]
+            for start in range(1, self.order, _GENERATOR_CHUNK):
+                cand = np.arange(start, min(start + _GENERATOR_CHUNK, self.order),
+                                 dtype=np.int64)
+                full = np.ones(len(cand), dtype=bool)
+                for e in cofactors:
+                    full &= self._arr_pow_structural(cand, e) != 1
+                if full.any():
+                    self._generator = int(cand[full.argmax()])
                     break
+            else:
+                raise ArithmeticError(f"{self} has no generator: modulus reducible")
         return self._generator
 
+    def _arr_pow_structural(self, u, e: int):
+        """Elementwise u^e (e >= 0) by square-and-multiply, without tables."""
+        out = np.ones_like(u)
+        while e:
+            if e & 1:
+                out = self._arr_mul_structural(out, u)
+            e >>= 1
+            if e:
+                u = self._arr_mul_structural(u, u)
+        return out
+
+    def _powers(self, x: int, count: int):
+        """x^0, ..., x^(count-1) as an array, by doubling: the powers so far
+        times x^len, one structural multiply per step."""
+        pw = np.ones(1, dtype=np.int64)
+        while len(pw) < count:
+            step = self._arr_mul_structural(pw[-1:], np.array([x], dtype=np.int64))
+            pw = np.concatenate([pw, self._arr_mul_structural(pw, step)])
+        return pw[:count]
+
     def ensure_tables(self):
-        """Build discrete log/exp tables (lazily; basis of the bulk engine)."""
-        if self._log is not None:
+        """Build the discrete log/exp tables (done at construction).
+
+        exp is filled blockwise: with m = ceil(sqrt(order-1)) small powers
+        g^j and the block starts G^k, G = g^m, one structural multiply of
+        the outer product gives g^(km+j).  log is one scatter.  Raises
+        ArithmeticError unless exp is a permutation of 1..order-1.
+        """
+        if self._exp is not None:
             return
         g, n = self.generator, self.order - 1
-        exp = [1] * n
-        for i in range(1, n):
-            exp[i] = self.mul(exp[i - 1], g)
-        log = [-1] * self.order
-        for i, x in enumerate(exp):
-            log[x] = i
-        self._exp, self._log = exp, log
-        self._exp_np = np.array(exp, dtype=np.int64)
-        self._log_np = np.array(log, dtype=np.int64)
+        m = math.isqrt(n - 1) + 1
+        small = self._powers(g, m)                                  # g^j, j < m
+        g_m = self._arr_mul_structural(small[-1:], np.array([g], dtype=np.int64))
+        starts = self._powers(int(g_m[0]), -(-n // m))              # g^(km)
+        exp = self._arr_mul_structural(starts[:, None], small[None, :]).ravel()[:n]
+        log = np.full(self.order, -1, dtype=np.int64)
+        log[exp] = np.arange(n, dtype=np.int64)
+        if log[0] != -1 or (log[1:] < 0).any():
+            raise ArithmeticError(f"powers of {self.format_idx(g)} in {self} "
+                                  "are not a permutation of the units")
+        self._exp_np, self._log_np = exp, log
+        self._exp, self._log = memoryview(exp), memoryview(log)
 
     def subgroup_mu(self, d: int) -> list:
-        """The d-th roots of unity, as powers g^((order-1)/d * j), j = 0..d-1.
-
-        The returned list is cached and shared; treat it as read-only.
-        """
+        """The d-th roots of unity, as powers g^((order-1)/d * j), j = 0..d-1."""
         n = self.order - 1
         if d <= 0 or n % d != 0:
             raise NotDivisor(f"{d} does not divide {n}")
-        if d not in self._mu_cache:
-            step = self.pow(self.generator, n // d)
-            out, cur = [], 1
-            for _ in range(d):
-                out.append(cur)
-                cur = self.mul(cur, step)
-            self._mu_cache[d] = out
-        return self._mu_cache[d]
+        return self._exp_np[::n // d].tolist()
 
     def element_of_order(self, d: int) -> int:
         """Canonical element of exact order d: g^((order-1)/d)."""
         n = self.order - 1
         if d <= 0 or n % d != 0:
             raise NotDivisor(f"{d} does not divide {n}")
-        return self.pow(self.generator, n // d)
+        return self._exp[n // d]
 
     def order3_element(self) -> int:
         """Canonical element of multiplicative order 3."""
@@ -376,7 +403,6 @@ class FieldCtx:
         return self.arr_add(u, self.arr_neg(v))
 
     def arr_mul(self, u, v):
-        self.ensure_tables()
         out = self._exp_np[(self._log_np[u] + self._log_np[v]) % (self.order - 1)]
         return np.where((u == 0) | (v == 0), 0, out)
 
@@ -386,7 +412,6 @@ class FieldCtx:
             return np.zeros_like(u)
         if c == 1:
             return u.copy()
-        self.ensure_tables()
         out = self._exp_np[(self._log_np[u] + self._log[c]) % (self.order - 1)]
         return np.where(u == 0, 0, out)
 
@@ -394,7 +419,6 @@ class FieldCtx:
         """Elementwise u^e for integer e >= 0 (0^0 = 1)."""
         if e == 0:
             return np.ones_like(u)
-        self.ensure_tables()
         # reduce e first: log * e must not wrap in int64 (e > 0 keeps 0^e = 0)
         out = self._exp_np[(self._log_np[u] * (e % (self.order - 1))) % (self.order - 1)]
         return np.where(u == 0, 0, out)
@@ -444,22 +468,10 @@ class PrimeField(FieldCtx):
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero(f"inverse of 0 in {self}")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a, e):
-        if e < 0:
-            a, e = self.inv(a), -e
-        if a == 0:
-            return 1 if e == 0 else 0
-        if self.p > 2:
-            e %= self.p - 1
-        return pow(a, e, self.p)
-
     def arr_mul(self, u, v):
         return (u * v) % self.p
+
+    _arr_mul_structural = arr_mul
 
     def arr_scale(self, u, c):
         return (u * c) % self.p
@@ -531,29 +543,28 @@ class ExtensionField(FieldCtx):
         bneg = self.base.neg
         return self.encode([bneg(x) for x in self.decode(a)])
 
-    def mul(self, a, b):
-        if self._log is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-        return self._mul_structural(a, b)
-
-    def _mul_structural(self, a, b):
-        d, base = self.degree, self.base
-        ca, cb = self.decode(a), self.decode(b)
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    if y:
-                        conv[i + j] = base.add(conv[i + j], base.mul(x, y))
+    def _arr_mul_structural(self, u, v):
+        """Elementwise product of index arrays (broadcasting) without this
+        field's tables: the coordinates over the base are convolved with the
+        base's array arithmetic, then t^d .. t^(2d-2) are reduced by the
+        modulus rows."""
+        d, base, b = self.degree, self.base, self.base.order
+        cu = [u // b ** i % b for i in range(d)]
+        cv = [v // b ** i % b for i in range(d)]
+        conv = [None] * (2 * d - 1)
+        for i in range(d):
+            for j in range(d):
+                t = base.arr_mul(cu[i], cv[j])
+                conv[i + j] = t if conv[i + j] is None else base.arr_add(conv[i + j], t)
         out = conv[:d]
         for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = self._red_rows[k - d]
-                out = [base.add(out[i], base.mul(c, row[i])) for i in range(d)]
-        return self.encode(out)
+            for i, c in enumerate(self._red_rows[k - d]):
+                if c:
+                    out[i] = base.arr_add(out[i], base.arr_scale(conv[k], c))
+        idx = out[d - 1]
+        for i in range(d - 2, -1, -1):
+            idx = idx * b + out[i]
+        return idx
 
     # -- Frobenius and trace ------------------------------------------------
 
@@ -583,7 +594,6 @@ class ExtensionField(FieldCtx):
         that is t = log lam / (q-1); there is none unless q-1 divides log lam.
         """
         q = self.base.order
-        self.ensure_tables()
         if lam == 0 or self._log[lam] % (q - 1):
             raise NoSolution(f"no a with a^{q - 1} = {self.format_idx(lam)}")
         return self._exp[self._log[lam] // (q - 1)]
@@ -621,41 +631,69 @@ def _poly_trim(cs):
     return cs
 
 
-def _poly_divmod(base: FieldCtx, num, den):
+def _poly_rem(base: FieldCtx, num, den):
+    """Remainder of num modulo den (den trimmed, nonzero)."""
     num = list(num)
     dd = len(den) - 1
     inv_lead = base.inv(den[-1])
-    quot = [0] * max(0, len(num) - dd)
     for k in range(len(num) - 1, dd - 1, -1):
         c = base.mul(num[k], inv_lead)
         if c:
-            quot[k - dd] = c
             for j in range(dd + 1):
                 num[k - dd + j] = base.sub(num[k - dd + j], base.mul(c, den[j]))
-    return quot, _poly_trim(num[:dd])
+    return _poly_trim(num[:dd])
+
+
+def _poly_mulmod(base: FieldCtx, a, b, f):
+    prod = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] = base.add(prod[i + j], base.mul(x, y))
+    return _poly_rem(base, prod, f)
+
+
+def _poly_powmod(base: FieldCtx, a, e: int, f):
+    out = [1]
+    while e:
+        if e & 1:
+            out = _poly_mulmod(base, out, a, f)
+        e >>= 1
+        if e:
+            a = _poly_mulmod(base, a, a, f)
+    return out
+
+
+def _poly_gcd(base: FieldCtx, a, b):
+    while b:
+        a, b = b, _poly_rem(base, a, b)
+    return a
 
 
 def is_irreducible(base: FieldCtx, coeffs) -> bool:
-    """Trial-division irreducibility for a monic polynomial over `base`.
+    """Rabin's test for a monic polynomial f of degree d over `base` (order b).
 
-    Checks divisibility by every monic polynomial of degree 1..deg/2.
+    f is irreducible iff x^(b^d) = x mod f and gcd(x^(b^(d/r)) - x, f) = 1
+    for every prime r dividing d (Rabin 1980, "Probabilistic algorithms in
+    finite fields").  The powers x^(b^i) mod f are taken one Frobenius step
+    at a time, in scalar base arithmetic.
     """
     d = len(coeffs) - 1
     if d < 1 or coeffs[-1] != 1:
         return False
-    if d == 1:
-        return True
-    b = base.order
-    for k in range(1, d // 2 + 1):
-        for lowidx in range(b ** k):
-            low, i = [], lowidx
-            for _ in range(k):
-                low.append(i % b)
-                i //= b
-            _, rem = _poly_divmod(base, coeffs, low + [1])
-            if not rem:
+    f = list(coeffs)
+    x = _poly_rem(base, [0, 1], f)
+    stops = {d // r for r in factorize(d)}
+    h = x
+    for i in range(1, d + 1):
+        h = _poly_powmod(base, h, base.order, f)
+        if i in stops:
+            diff = h + [0] * (2 - len(h))  # h - x; x mod f is x itself as d > 1
+            diff[1] = base.sub(diff[1], 1)
+            if len(_poly_gcd(base, f, _poly_trim(diff))) > 1:
                 return False
-    return True
+    return h == x
 
 
 def find_irreducible(base: FieldCtx, d: int) -> tuple:
@@ -690,7 +728,9 @@ def build_prime_field(p: int, cap: int | None = None) -> PrimeField:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p not in _prime_cache:
-        _prime_cache[p] = PrimeField(p)
+        ctx = PrimeField(p)
+        ctx.ensure_tables()
+        _prime_cache[p] = ctx
     return _prime_cache[p]
 
 
@@ -719,7 +759,9 @@ def build_extension(base: FieldCtx, d: int, modulus=None,
             raise BadParams("modulus is reducible")
     key = (id(base), d, modulus)
     if key not in _ext_cache:
-        _ext_cache[key] = ExtensionField(base, d, modulus)
+        ctx = ExtensionField(base, d, modulus)
+        ctx.ensure_tables()
+        _ext_cache[key] = ctx
     return _ext_cache[key]
 
 

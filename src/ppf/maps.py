@@ -29,7 +29,8 @@ from .errors import (
 )
 from .fields import ExtensionField, FieldCtx, _digitwise_add
 from .linalg import CandidateSet, eta_table, dual_basis, rho_table
-from .polys import FnTable, SparsePoly, _row_counts, compose_univariate, trace_poly
+from .polys import (FnTable, SparsePoly, _check_entries, _row_counts, compose_univariate,
+                    trace_poly)
 
 
 def unpack_vector(q: int, n: int, t: int) -> tuple:
@@ -57,6 +58,7 @@ class VectorMap:
         size = base.order ** n
         if table.shape != (size,):
             raise DimensionMismatch(f"table must have length {size}")
+        _check_entries(table, size)
         self.base = base
         self.n = n
         self.table = table

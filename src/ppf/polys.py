@@ -213,6 +213,7 @@ class FnTable:
         values = np.asarray(values, dtype=np.int64)
         if values.shape != (ctx.order,):
             raise BadParams(f"table must have length {ctx.order}")
+        _check_entries(values, ctx.order)
         self.ctx = ctx
         self.values = values
 
@@ -253,17 +254,22 @@ class FnTable:
         return FnTable(self.ctx, inv)
 
 
+def _check_entries(values: np.ndarray, n: int):
+    """BadParams unless every entry of an int64 index array lies in [0, n)."""
+    if values.size and values.view(np.uint64).max() >= n:   # negatives wrap above 2^63
+        raise BadParams(f"table entries must lie in [0, {n})")
+
+
 def _row_counts(rows: np.ndarray) -> np.ndarray:
     """How often each value occurs in each row of a 2-D index array.
 
-    Entries must lie in [0, n), n the row length; counts[r, v] is the number
-    of times row r takes the value v, so row r is a bijection of [0, n) iff
-    no count exceeds 1.  All rows are counted by one bincount, each row's
-    values shifted by r * n.
+    Entries must lie in [0, n), n the row length (FnTable and VectorMap
+    check theirs when built, first_collisions its argument); counts[r, v] is
+    the number of times row r takes the value v, so row r is a bijection of
+    [0, n) iff no count exceeds 1.  All rows are counted by one bincount,
+    each row's values shifted by r * n.
     """
     r, n = rows.shape
-    if rows.size and rows.view(np.uint64).max() >= n:   # negatives wrap above 2^63
-        raise BadParams(f"table entries must lie in [0, {n})")
     if r > 1:
         rows = rows + np.arange(0, r * n, n)[:, None]
     return np.bincount(rows.ravel(), minlength=r * n).reshape(r, n)
@@ -275,8 +281,9 @@ def first_collisions(rows: np.ndarray):
     Returns boolean and index arrays (hit, x1, x2), one entry per row: hit
     tells whether the row repeats a value, and then x1 < x2 are the first
     two positions of its smallest repeated value.  x1 and x2 are meaningless
-    where hit is False.
+    where hit is False.  BadParams if an entry lies outside [0, row length).
     """
+    _check_entries(rows, rows.shape[1])
     dup = _row_counts(rows) > 1
     i, value = np.arange(len(rows)), dup.argmax(axis=1)
     at = rows == value[:, None]

@@ -1,8 +1,10 @@
 """Field construction, tower arithmetic, Frobenius/trace, subgroup utilities."""
 
+import hashlib
 import itertools
 import time
 
+import numpy as np
 import pytest
 
 from ppf.errors import (
@@ -16,6 +18,7 @@ from ppf.errors import (
     TooLarge,
     ZeroElement,
 )
+from ppf import fields
 from ppf.fields import (
     build_extension,
     build_prime_field,
@@ -265,3 +268,80 @@ def test_cap_is_checked_before_the_extension_order():
     assert len(str(info.value)) < 100
     with pytest.raises(TooLarge):  # 2^21 > 2^20, d = bit length of the cap
         build_extension(build_prime_field(2), 21)
+
+
+# (p, k, n) -> (modulus, generator, sha256 of the little-endian int64 exp
+# table), as the earlier construction (trial division, an element-by-element
+# generator scan, Q - 1 scalar multiplies for exp) built them: every tower
+# with q <= 16 the test suite builds, plus F_{(2^8)^2}, F_{1021^2} and
+# F_{(3^6)^2}.
+PINNED = {
+    (2, 1, None): (None, 1, "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8"),
+    (3, 1, None): (None, 2, "0c730b69905c5ef7a4ca5269f72365400bde2dd2c04eaf9bbb3d1c4a265a0131"),
+    (2, 2, None): ((1, 1, 1), 2, "e2e2033ae7e19d680599d4eb0a1359a2b48ec5baac75066c317fbf85159c54ef"),
+    (5, 1, None): (None, 2, "92ebfe56a187e071ee832d8aec88836cd91da15f4867ae6414feb4772bd8454c"),
+    (7, 1, None): (None, 3, "b731ea0a2c721d83db255a5507575d6a42ccde137a2971a3c9e84dc1c88eebed"),
+    (2, 3, None): ((1, 1, 0, 1), 2, "4ec17844028f97bfa5da896681e0769fdea1646491bb7120301326ba8966a0a3"),
+    (3, 1, 2): ((1, 0, 1), 4, "107beef16789fe215c9f675861dd58705f81b786978eb9af1837c6e3dfbc5f03"),
+    (11, 1, None): (None, 2, "e8247f1507e27d11790d20038193bd919a14e90aed303d6df53ef281b60b0961"),
+    (13, 1, None): (None, 2, "ca9c8cdd04b2e88aa4d188381cc7e73e2f469fa8a19bf387e04f92933202c555"),
+    (2, 4, None): ((1, 1, 0, 0, 1), 2, "1b3553e94660d3aaa951959df5449388084822f376745a532b63c1b24afaca97"),
+    (2, 2, 2): ((2, 1, 1), 4, "7b810ea0982ceb0358d8fa72fbafb558424b73a6d13428453504762edd1ac2c7"),
+    (5, 1, 2): ((2, 0, 1), 6, "f819a08972b8bf0fe65072e895b3c905d6ffe44d290b58e9bb0e3a361657ac98"),
+    (3, 3, None): ((1, 2, 0, 1), 3, "94de5a129fc907c93762dd467cfb55db24508ee0f358d4d87bfd8848eca59fd7"),
+    (7, 1, 2): ((1, 0, 1), 9, "bfbb44080945d046e687f01a1b53c22bb1df14ae512b1df6db12b94316185d14"),
+    (2, 3, 2): ((1, 1, 1), 10, "e806996018ce7061aa965f0ccfcd44b126b041add705ec7959c0abbcaebf5764"),
+    (3, 2, 2): ((4, 0, 1), 10, "e9e2b86f606f65542eb0faa0c06cc3e7ed29c93c1fd8be7273af14e4bb46148d"),
+    (11, 1, 2): ((1, 0, 1), 15, "43e329be59e51cd3c8a54ceb27946da862800e84be4d74e18dfb65306244ee8a"),
+    (5, 3, None): ((1, 1, 0, 1), 9, "3cd23adf3501f4d1b4477466dd25378cd6e4fdcdd2d3faa09a5348af418b20ac"),
+    (13, 1, 2): ((2, 0, 1), 15, "4db08ae6778e608d156fe11c5d4589060ad4818e61dd04d3d6affce7449e2d4c"),
+    (2, 4, 2): ((8, 1, 1), 18, "2dc7874864fdf341bc75699236f377aa20e2acd1605a75b41fa2c7576b4c3f11"),
+    (7, 3, None): ((2, 0, 0, 1), 22, "e923d9e59b71b72d7ef6399ef96787677b56d6d1b1a6633d0a5dc799ba8f9de6"),
+    (5, 2, 2): ((5, 0, 1), 26, "39e0a0ade909fef7b10d6777bba01f2751b90c269b7e39636ff3bf2c29887145"),
+    (13, 3, None): ((2, 0, 0, 1), 15, "63222d54f1b02488a7c39fa6b6743a7d6d5b0d5f2a820417fe014b2012cc6068"),
+    (2, 8, 2): ((32, 1, 1), 264, "5e4e4aba60c98bbea8c5dabb1244cf41a032521065ef270096570214a50a7a38"),
+    (1021, 1, 2): ((2, 0, 1), 1035, "e529f35db12bc3dd50cbe0036fe6ec43d3e9526d20f16075c7ece4d6c59c7391"),
+    (3, 6, 2): ((3, 0, 1), 739, "64a901b250b12e2d4a345d7b9a3096ae078f523a8a98a410360c8e514cc545ce"),
+}
+PINNED_BASE_MODULI = {(2, 8, 2): (1, 1, 0, 1, 1, 0, 0, 0, 1), (3, 6, 2): (2, 1, 0, 0, 0, 0, 1)}
+
+
+def _exp_sha(ctx):
+    return hashlib.sha256(ctx._exp_np.astype("<i8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("spec", list(PINNED), ids=str)
+def test_construction_matches_pinned_outputs(spec):
+    p, k, n = spec
+    ctx = build_tower(p, k=k, n=n)
+    assert (ctx.modulus, ctx.generator, _exp_sha(ctx)) == PINNED[spec]
+    if spec in PINNED_BASE_MODULI:
+        assert ctx.base.modulus == PINNED_BASE_MODULI[spec]
+
+
+def test_cap_tower_builds_in_bounded_time(deadline, monkeypatch):
+    """F_{(2^10)^2}, Q = 2^20 = the cap, built cold (memo caches emptied)."""
+    monkeypatch.setattr(fields, "_prime_cache", {})
+    monkeypatch.setattr(fields, "_ext_cache", {})
+    with deadline(10.0):
+        ctx = build_tower(2, k=10, n=2)
+    n, g, exp = ctx.order - 1, ctx.generator, ctx._exp_np
+    assert ctx.order == 1 << 20
+    assert np.array_equal(np.sort(exp), np.arange(1, ctx.order))
+    i = np.random.default_rng(0).integers(0, n, 1000)
+    nxt = ctx._arr_mul_structural(exp[i], np.full(len(i), g, dtype=np.int64))
+    assert np.array_equal(nxt, exp[(i + 1) % n])
+
+
+def test_tables_are_built_with_the_context(f25):
+    assert f25._exp_np is not None and f25._log_np is not None
+    assert f25._exp[3] == f25._exp_np[3] and type(f25._exp[3]) is int
+    assert f25.inv(f25._exp[5]) == f25._exp[19]
+    assert [f25.element_order(x) for x in (1, f25.neg(1), f25.generator)] == [1, 2, 24]
+
+
+def test_a_reducible_modulus_is_caught_by_the_table_check(f2):
+    # t^2 + 1 = (t + 1)^2 over F_2: some powers of t hit zero divisors
+    ctx = fields.ExtensionField(f2, 2, (1, 0, 1))
+    with pytest.raises(ArithmeticError):
+        ctx.ensure_tables()

@@ -235,6 +235,7 @@ def test_pointwise_add_is_coordinatewise_base_addition(p, k, n):
 
 @pytest.mark.parametrize("table", [[0, 1, 2, 7], [0, 1, 2, -1], [4, 1, 2, 3]])
 def test_vector_map_entries_out_of_range_raise(f2, table):
-    # [0, 1, 2, 7] has no repeated value, but 7 is not a vector of F_2^2
+    # [0, 1, 2, 7] has no repeated value, but 7 is not a vector of F_2^2;
+    # the map is refused when it is built, before any gather can use it
     with pytest.raises(BadParams, match=r"\[0, 4\)"):
-        VectorMap(f2, 2, table).is_permutation()
+        VectorMap(f2, 2, table)

@@ -11,6 +11,7 @@ from ppf.polys import (
     FnTable,
     SparsePoly,
     compose_univariate,
+    first_collisions,
     interpolate,
     monomial,
     parse_element,
@@ -97,11 +98,21 @@ def test_is_permutation(f4):
 
 @pytest.mark.parametrize("values", [[0, 1, 2, 4], [0, 1, 2, -1], [7, 1, 2, 3]])
 def test_table_entries_out_of_range_raise(f4, values):
-    # [0, 1, 2, 4] has no repeated value, but 4 is not an element of F_4
-    table = FnTable(f4, values)
-    for check in (table.is_permutation, table.first_collision, table.inverse):
-        with pytest.raises(BadParams, match=r"\[0, 4\)"):
-            check()
+    # [0, 1, 2, 4] has no repeated value, but 4 is not an element of F_4:
+    # the table is refused when it is built, and the oracle refuses such rows
+    with pytest.raises(BadParams, match=r"\[0, 4\)"):
+        FnTable(f4, values)
+    with pytest.raises(BadParams, match=r"\[0, 4\)"):
+        first_collisions(np.array([values], dtype=np.int64))
+
+
+def test_compose_never_gathers_out_of_range(f4):
+    # a negative entry used to wrap (composing with the identity returned the
+    # identity), an entry >= Q used to end in a raw numpy IndexError
+    ident = FnTable.identity(f4)
+    for values in ([0, 1, 2, -1], [0, 1, 2, 4]):
+        with pytest.raises(BadParams):
+            ident.compose(FnTable(f4, values))
 
 
 def test_inverse_tables(f9, f25):

@@ -1,11 +1,16 @@
 """Property and differential tests of the field arithmetic.
 
 The bulk index-array operations are checked elementwise against the scalar
-tower arithmetic (which recurses through the base fields), and prime-base
-extensions are checked against sympy's galoistools.
+tower arithmetic (which recurses through the base fields); prime-base
+extensions and Rabin's irreducibility test are checked against sympy's
+galoistools, and Rabin's test over extension bases against trial division.
+Random towers with Q <= 2^12 are checked for the field axioms, Frobenius,
+trace and interpolation.
 """
 
 import functools
+import itertools
+import random
 
 import numpy as np
 import pytest
@@ -13,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from sympy import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
-from ppf.fields import build_tower
+from ppf.fields import build_prime_field, build_tower, is_irreducible, is_prime
+from ppf.polys import SparsePoly, interpolate
 
 # (p, k, n): F_p, or F_{(p^k)^n} built as the tower F_p -> F_{p^k} -> F_{(p^k)^n}
 TOWERS = [(7, 1, None), (2, 2, 2), (2, 3, 2), (3, 1, 2), (3, 2, 2), (5, 2, 2), (13, 1, 2)]
@@ -66,4 +72,124 @@ def test_prime_base_extension_matches_galoistools(p, d, data):
     rem = gf_rem(gf_mul(_sympy_poly(ctx.decode(a)), _sympy_poly(ctx.decode(b)), p, ZZ),
                  modulus, p, ZZ)
     coords = [int(c) for c in reversed(rem)] + [0] * (d - len(rem))
-    assert ctx._mul_structural(a, b) == ctx.encode(coords)
+    prod = ctx._arr_mul_structural(np.array([a], dtype=np.int64), np.array([b], dtype=np.int64))
+    assert prod.tolist() == [ctx.encode(coords)]
+
+
+def _monic(b, d):
+    """Every monic polynomial of degree d over a field of order b, low first."""
+    return [list(low) + [1] for low in itertools.product(range(b), repeat=d)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rabin_matches_galoistools_exhaustively(p):
+    base = build_prime_field(p)
+    for d in range(1, 7):
+        for f in _monic(p, d):
+            assert is_irreducible(base, f) == gf_irreducible_p(f[::-1], p, ZZ), f
+
+
+@pytest.mark.parametrize("p", [13, 1021])
+def test_rabin_matches_galoistools_on_seeded_polynomials(p):
+    base, rng = build_prime_field(p), random.Random(p)
+    for _ in range(300):
+        f = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
+        assert is_irreducible(base, f) == gf_irreducible_p(f[::-1], p, ZZ), f
+
+
+def _rem(base, num, den):
+    """num mod den for a monic den, by schoolbook long division."""
+    num, dd = list(num), len(den) - 1
+    for k in range(len(num) - 1, dd - 1, -1):
+        c = num[k]
+        for j in range(dd + 1):
+            num[k - dd + j] = base.sub(num[k - dd + j], base.mul(c, den[j]))
+    return [c for c in num[:dd] if c]
+
+
+def _irreducible_by_trial_division(base, f):
+    """No monic factor of degree 1 .. deg/2."""
+    d = len(f) - 1
+    return all(_rem(base, f, g) for k in range(1, d // 2 + 1) for g in _monic(base.order, k))
+
+
+@pytest.mark.parametrize("p, k, dmax", [(2, 2, 4), (2, 3, 3), (3, 2, 3)], ids=["F4", "F8", "F9"])
+def test_rabin_matches_trial_division_over_extension_bases(p, k, dmax):
+    base = build_tower(p, k=k)
+    for d in range(1, dmax + 1):
+        for f in _monic(base.order, d):
+            assert is_irreducible(base, f) == _irreducible_by_trial_division(base, f), f
+
+
+def _random_tower_specs(max_order=1 << 12):
+    """(p, k, n) for every tower F_p -> F_{p^k} (-> F_{(p^k)^n}) of order at
+    most max_order whose outermost step is an extension."""
+    out = []
+    for p in filter(is_prime, range(2, 65)):
+        for k in range(1, 13):
+            for n in [None] + list(range(2, 13)):
+                order = p ** (k * (n or 1))
+                if order <= max_order and (k > 1 or n is not None):
+                    out.append((p, k, n))
+    return out
+
+
+TOWER_SPECS = _random_tower_specs()
+random_towers = st.sampled_from(TOWER_SPECS).map(lambda s: build_tower(s[0], k=s[1], n=s[2]))
+
+
+def _elements(ctx, count):
+    return st.lists(st.integers(0, ctx.order - 1), min_size=count, max_size=count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_tower_field_axioms(data):
+    ctx = data.draw(random_towers)
+    a, b, c = data.draw(_elements(ctx, 3))
+    add, mul = ctx.add, ctx.mul
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, 0) == a and mul(a, 1) == a and add(a, ctx.neg(a)) == 0
+    if a:
+        assert mul(a, ctx.inv(a)) == 1
+    # the structural multiply that builds the tables agrees with them
+    u = np.array([a, b, c], dtype=np.int64)
+    v = np.array([b, c, a], dtype=np.int64)
+    assert ctx._arr_mul_structural(u, v).tolist() == ctx.arr_mul(u, v).tolist()
+    assert ctx.arr_mul(u, v).tolist() == [mul(a, b), mul(b, c), mul(c, a)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_tower_frobenius_is_an_automorphism_of_order_d(data):
+    ctx = data.draw(random_towers)
+    a, b = data.draw(_elements(ctx, 2))
+    fr, d = ctx.frobenius, ctx.degree
+    assert fr(ctx.add(a, b)) == ctx.add(fr(a), fr(b))
+    assert fr(ctx.mul(a, b)) == ctx.mul(fr(a), fr(b))
+    assert fr(a, d) == a and int(ctx.frob_table[a]) == fr(a)
+    g = ctx.generator  # generates the field, so no smaller power of Frobenius fixes it
+    assert all(fr(g, j) != g for j in range(1, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_tower_trace_lands_in_the_base(data):
+    ctx = data.draw(random_towers)
+    xs = data.draw(_elements(ctx, 8))
+    traces = [ctx.trace(x) for x in xs]      # raises unless Frobenius fixes the sum
+    assert all(0 <= t < ctx.base.order for t in traces)
+    assert ctx.arr_trace(np.array(xs, dtype=np.int64)).tolist() == traces
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_random_tower_interpolation_inverts_tabulation(data):
+    ctx = data.draw(random_towers)
+    terms = data.draw(st.lists(st.tuples(st.integers(0, 3 * ctx.order),
+                                         st.integers(0, ctx.order - 1)), max_size=4))
+    poly = SparsePoly(ctx, terms)
+    assert interpolate(poly.to_table()).terms == poly.reduce().terms
