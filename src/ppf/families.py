@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb, gcd
 from typing import Optional
@@ -50,8 +49,8 @@ from .errors import (
     ZeroElement,
 )
 from .fields import ExtensionField, field_for_q_squared
-from .linalg import is_linearly_independent
-from .polys import SparsePoly, first_collisions
+from .maps import VectorMap, compose_field_map, composition_conditions
+from .polys import FnTable, SparsePoly, first_collisions
 
 BINOMIAL_CAP = 64  # exponents expanded with exact integer binomials
 
@@ -293,24 +292,21 @@ class AgreementReport:
                 "agree": self.agree, "witness": self.witness}
 
 
-def _direct_table(ctx: ExtensionField, c1, d1, c2, d2, m, n, eps) -> np.ndarray:
-    xs = ctx.all_indices()
-    xq = ctx.frob_table
-    u = ctx.arr_add(ctx.arr_scale(xs, c1), ctx.arr_scale(xq, d1))
-    v = ctx.arr_add(ctx.arr_scale(xs, c2), ctx.arr_scale(xq, d2))
-    return ctx.arr_add(ctx.arr_pow(u, m), ctx.arr_scale(ctx.arr_pow(v, n), eps))
-
-
 # -- the batched engine ----------------------------------------------------------
 
 CHUNK_VALUES = 1 << 20  # table entries per chunk: max(1, CHUNK_VALUES // Q) instances
+
+
+def _linear_form(ctx: ExtensionField, c: int, d: int) -> np.ndarray:
+    """Table of the linear form c x + d x^q."""
+    return ctx.arr_add(ctx.arr_scale(ctx.all_indices(), c), ctx.arr_scale(ctx.frob_table, d))
 
 
 def _summand_tables(ctx: ExtensionField, c: int, d: int, exponents) -> np.ndarray:
     """Tables of (c x + d x^q)^e, one row per exponent, from the binomial
     expansion, each checked against direct pointwise evaluation.  Equal
     summands give equal eps-weighted sums, so this covers every instance."""
-    lin = ctx.arr_add(ctx.arr_scale(ctx.all_indices(), c), ctx.arr_scale(ctx.frob_table, d))
+    lin = _linear_form(ctx, c, d)
     rows = []
     for e in exponents:
         table = expand_linear_power(ctx, c, d, e).to_table().values
@@ -486,8 +482,12 @@ def sweep_families(q_list, m_max: int, n_max: int, families=None, seed: int = 0,
     For each q, every applicable (or requested) family is enumerated over all
     alpha/beta pairs, both order-3 choices, both signs, and the epsilon grid
     (exhaustive for q <= 9, seeded sample plus specials above).  Inapplicable
-    requested families are recorded as errors, not raised.
+    requested families are recorded as errors, not raised.  BadParams,
+    before any block runs, unless 1 <= m_max, n_max <= BINOMIAL_CAP.
     """
+    for name, top in (("m_max", m_max), ("n_max", n_max)):
+        if not 1 <= top <= BINOMIAL_CAP:
+            raise BadParams(f"{name} must lie in 1..{BINOMIAL_CAP}, got {top}")
     result = SweepResult(seed=seed)
     blocks = []
     for q in q_list:
@@ -502,6 +502,7 @@ def sweep_families(q_list, m_max: int, n_max: int, families=None, seed: int = 0,
             blocks.append((q, fam, m_max, n_max, seed, cap))
     workers = min(workers, os.cpu_count() or 1, len(blocks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pools need multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for reports in pool.map(_run_block, blocks):
                 result.reports.extend(reports)
@@ -645,14 +646,13 @@ def trace_identity_check(ctx: ExtensionField, part: int, omega_choice: int = 1,
         lam = neg(ctx.mul(w, w)) if part == 6 else neg(w)
         cases = [(lam, w, (w, neg(1)))]                      # Tr(awx) = a(wx - x^q)
     xs = ctx.all_indices()
-    xq = ctx.frob_table
     ok, admissible, checked = True, 0, 0
     for lam, inner, (cx, cxq) in cases:
-        rhs_lin = ctx.arr_add(ctx.arr_scale(xs, cx), ctx.arr_scale(xq, cxq))
+        lin = _linear_form(ctx, cx, cxq)
         for a in _solutions_of_power(ctx, lam):
             admissible += 1
             lhs = ctx.arr_trace(ctx.arr_scale(xs, ctx.mul(a, inner)))
-            rhs = ctx.arr_scale(rhs_lin, a)
+            rhs = ctx.arr_scale(lin, a)
             checked += ctx.order
             if not np.array_equal(lhs, rhs):
                 ok = False
@@ -664,21 +664,20 @@ def two_trace_check(ctx: ExtensionField, a1: int, a2: int, b1: int, b2: int,
                       g1: SparsePoly, g2: SparsePoly) -> AgreementReport:
     """b1 g1(Tr(a1 x)) + b2 g2(Tr(a2 x)): two-trace composite vs the oracle.
 
-    Predicted: both {a1, a2} and {b1, b2} independent and both g's permute
-    the base field.
+    The composite is eta_b o g o rho_a over F_{q^2} with g = (g1, g2) applied
+    componentwise, so it is built by compose_field_map.  Predicted: both
+    {a1, a2} and {b1, b2} independent and g permuting F_q^2, that is both g's
+    permuting the base field.
     """
     base = ctx.base
+    if ctx.degree != 2:
+        raise BadParams(f"two-trace composites need F_{{q^2}}, got degree {ctx.degree}")
     if g1.ctx is not base or g2.ctx is not base:
         raise BadParams("g1, g2 must be polynomials over the base field")
-    predicted = (is_linearly_independent(ctx, [a1, a2])
-                 and is_linearly_independent(ctx, [b1, b2])
-                 and g1.to_table().is_permutation()
-                 and g2.to_table().is_permutation())
-    xs = ctx.all_indices()
-    g1t, g2t = g1.to_table().values, g2.to_table().values
-    tr1 = ctx.arr_trace(ctx.arr_scale(xs, a1))
-    tr2 = ctx.arr_trace(ctx.arr_scale(xs, a2))
-    vals = ctx.arr_add(ctx.arr_scale(g1t[tr1], b1), ctx.arr_scale(g2t[tr2], b2))
+    y1, y2 = ctx.decode(ctx.all_indices())
+    g = VectorMap(base, 2, ctx.encode([g1.to_table().values[y1], g2.to_table().values[y2]]))
+    predicted = all(composition_conditions(ctx, [a1, a2], [b1, b2], g))
+    vals = compose_field_map(FnTable.identity(ctx), [a1, a2], g, [b1, b2]).values
     fmt = ctx.format_idx
     head = (0, base.order, fmt(a1), fmt(a2), "", "+")
     return _reports(fmt, head, [(0, 0, "ext_star", b1)], [predicted], vals[None, :])[0]
@@ -718,10 +717,12 @@ def pentanomial_identity_check(ctx: ExtensionField, Qe: int, Re: int, Se: int,
     pointwise, where that form exists, and (b) permutation iff
     gcd(exponent, q-1) = 1.
 
-    The trace form needs elements a with a^(q-1) = w (or +-alpha w), which
-    exist exactly when q = 2 (mod 3); for q = 1 (mod 3) the identity half is
-    reported as None (not instantiable) and only the expansion and gcd
-    checks run.
+    The table is s1 - w s2 over the sweep engine's summand tables, so each
+    summand's binomial expansion is checked against direct evaluation
+    (ArithmeticError on a mismatch).  The trace form needs elements a with
+    a^(q-1) = w (or +-alpha w), which exist exactly when q = 2 (mod 3); for
+    q = 1 (mod 3) the identity half is reported as None (not instantiable)
+    and only the gcd check runs.
     """
     q = ctx.base.order
     if variant not in PENTANOMIAL_VARIANTS:
@@ -746,13 +747,8 @@ def pentanomial_identity_check(ctx: ExtensionField, Qe: int, Re: int, Se: int,
         branches = ((w, 1), (1, w))          # (w x + x^q)^E - w (x + w x^q)^E
     else:
         branches = ((w, alpha), (1, neg(mul(alpha, w))))
-    (c1, d1), (c2, d2) = branches
-    poly = (expand_linear_power(ctx, c1, d1, E)
-            + expand_linear_power(ctx, c2, d2, E).scale(neg(w))).reduce()
-    table = poly.to_table()
-    direct = _direct_table(ctx, c1, d1, c2, d2, E, E, neg(w))
-    if not np.array_equal(table.values, direct):
-        raise ArithmeticError("pentanomial expansion disagrees with direct evaluation")
+    s1, s2 = (_summand_tables(ctx, c, d, [E])[0] for c, d in branches)
+    table = FnTable(ctx, ctx.arr_add(s1, ctx.arr_scale(s2, neg(w))))
 
     identity_ok = None
     if q % 3 == 2:

@@ -513,7 +513,7 @@ class ExtensionField(FieldCtx):
         b, out = self.base.order, []
         for _ in range(self.degree):
             out.append(idx % b)
-            idx //= b
+            idx = idx // b
         return out
 
     def encode(self, coords):
@@ -548,9 +548,8 @@ class ExtensionField(FieldCtx):
         field's tables: the coordinates over the base are convolved with the
         base's array arithmetic, then t^d .. t^(2d-2) are reduced by the
         modulus rows."""
-        d, base, b = self.degree, self.base, self.base.order
-        cu = [u // b ** i % b for i in range(d)]
-        cv = [v // b ** i % b for i in range(d)]
+        d, base = self.degree, self.base
+        cu, cv = self.decode(u), self.decode(v)
         conv = [None] * (2 * d - 1)
         for i in range(d):
             for j in range(d):
@@ -561,10 +560,7 @@ class ExtensionField(FieldCtx):
             for i, c in enumerate(self._red_rows[k - d]):
                 if c:
                     out[i] = base.arr_add(out[i], base.arr_scale(conv[k], c))
-        idx = out[d - 1]
-        for i in range(d - 2, -1, -1):
-            idx = idx * b + out[i]
-        return idx
+        return self.encode(out)
 
     # -- Frobenius and trace ------------------------------------------------
 

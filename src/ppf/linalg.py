@@ -197,18 +197,12 @@ def kernel_of_trace_maps(ctx: ExtensionField, cand: CandidateSet) -> list:
 def rho_table(ctx: ExtensionField, v: CandidateSet):
     """rho as an array: element index -> packed coordinate vector."""
     xs = ctx.all_indices()
-    q = ctx.base.order
-    out = np.zeros(ctx.order, dtype=np.int64)
-    for i, vi in enumerate(_indices(ctx, v)):
-        out += ctx.arr_trace(ctx.arr_scale(xs, vi)) * (q ** i)
-    return out
+    return ctx.encode([ctx.arr_trace(ctx.arr_scale(xs, vi)) for vi in _indices(ctx, v)])
 
 
 def eta_table(ctx: ExtensionField, a: CandidateSet):
     """eta as an array: packed coordinate vector -> element index."""
-    q, n = ctx.base.order, ctx.degree
-    ts = np.arange(q ** n, dtype=np.int64)
-    acc = np.zeros(q ** n, dtype=np.int64)
-    for i, ai in enumerate(_indices(ctx, a)):
-        acc = ctx.arr_add(acc, ctx.arr_scale((ts // q ** i) % q, ai))
+    acc = np.zeros(ctx.order, dtype=np.int64)
+    for ai, coord in zip(_indices(ctx, a), ctx.decode(ctx.all_indices())):
+        acc = ctx.arr_add(acc, ctx.arr_scale(coord, ai))
     return acc

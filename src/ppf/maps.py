@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fields import ExtensionField, FieldCtx, _digitwise_add
 from .linalg import CandidateSet, eta_table, dual_basis, rho_table
-from .polys import (FnTable, SparsePoly, _check_entries, _row_counts, compose_univariate,
+from .polys import (FnTable, SparsePoly, _own_table, _row_counts, compose_univariate,
                     trace_poly)
 
 
@@ -37,7 +37,7 @@ def unpack_vector(q: int, n: int, t: int) -> tuple:
     out = []
     for _ in range(n):
         out.append(t % q)
-        t //= q
+        t = t // q
     return tuple(out)
 
 
@@ -54,14 +54,9 @@ class VectorMap:
     __slots__ = ("base", "n", "table", "components")
 
     def __init__(self, base: FieldCtx, n: int, table, components=None):
-        table = np.asarray(table, dtype=np.int64)
-        size = base.order ** n
-        if table.shape != (size,):
-            raise DimensionMismatch(f"table must have length {size}")
-        _check_entries(table, size)
         self.base = base
         self.n = n
-        self.table = table
+        self.table = _own_table(table, base.order ** n, DimensionMismatch)
         self.components = components
 
     @property
@@ -110,10 +105,9 @@ class VectorMap:
                          _digitwise_add(self.table, other.table, self.base.p, self.size))
 
     def pointwise_scale(self, c: int) -> "VectorMap":
-        q, out = self.base.order, np.zeros(self.size, dtype=np.int64)
-        for i in range(self.n):
-            out += self.base.arr_scale((self.table // q ** i) % q, c) * (q ** i)
-        return VectorMap(self.base, self.n, out)
+        q = self.base.order
+        return VectorMap(self.base, self.n, pack_vector(
+            q, [self.base.arr_scale(x, c) for x in unpack_vector(q, self.n, self.table)]))
 
     def __eq__(self, other):
         return (isinstance(other, VectorMap) and self.base is other.base

@@ -210,12 +210,8 @@ class FnTable:
     __slots__ = ("ctx", "values")
 
     def __init__(self, ctx: FieldCtx, values):
-        values = np.asarray(values, dtype=np.int64)
-        if values.shape != (ctx.order,):
-            raise BadParams(f"table must have length {ctx.order}")
-        _check_entries(values, ctx.order)
         self.ctx = ctx
-        self.values = values
+        self.values = _own_table(values, ctx.order, BadParams)
 
     @classmethod
     def identity(cls, ctx: FieldCtx) -> "FnTable":
@@ -252,6 +248,21 @@ class FnTable:
         inv = np.empty_like(self.values)
         inv[self.values] = self.ctx.all_indices()
         return FnTable(self.ctx, inv)
+
+
+def _own_table(values, n: int, length_error) -> np.ndarray:
+    """A read-only int64 copy of a table over [0, n).
+
+    length_error unless the table has n entries, BadParams unless each lies
+    in [0, n).  Owning the copy keeps a later write to the caller's array
+    from getting past the range check.
+    """
+    values = np.array(values, dtype=np.int64)
+    if values.shape != (n,):
+        raise length_error(f"table must have length {n}")
+    _check_entries(values, n)
+    values.flags.writeable = False
+    return values
 
 
 def _check_entries(values: np.ndarray, n: int):

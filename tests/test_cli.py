@@ -292,6 +292,44 @@ PINNED_OUTPUTS = [
     (("7", "pentanomial", "--q", "4", "--Q", "1", "--R", "2", "--S", "2",
       "--variant", "z1"), 2,
      "87eae24c6e261da93d98f8eaa1b4d453904a8dc99586c2c04a318a29c7d16388"),
+    # every pentanomial variant, both omegas, twisted with alpha_idx != 0; the
+    # q = 4 triple (1, 2, 1) of z2qr is one the oracle refutes
+    (("0", "pentanomial", "--q", "4", "--Q", "1", "--R", "2", "--S", "1",
+      "--variant", "z1", "--omega", "1"), 0,
+     "3f2d166ccf6eb6fd37af654137276bb7ae52c28ce2b929fffb2c90d3af502dd5"),
+    (("7", "pentanomial", "--q", "4", "--Q", "1", "--R", "1", "--S", "2",
+      "--variant", "z2", "--omega", "2"), 0,
+     "35daf45c3aaaf7d86f604a88c42d4bed2804a2129ecfb3e661e3eaac87ed9430"),
+    (("0", "pentanomial", "--q", "4", "--Q", "2", "--R", "1", "--S", "1",
+      "--variant", "z1qr", "--omega", "1"), 0,
+     "9955fd634937e395681674a1375fe6df620405619f71367658cbeca260617fa3"),
+    (("7", "pentanomial", "--q", "4", "--Q", "1", "--R", "2", "--S", "1",
+      "--variant", "z2qr", "--omega", "2"), 2,
+     "aa48ed3f3f8e169d2ea258bd9f64a1885d2ce3c2f5ddf9640d7074c6d9036c7e"),
+    (("0", "pentanomial", "--q", "7", "--Q", "1", "--R", "1", "--S", "7",
+      "--variant", "z1", "--omega", "2"), 0,
+     "9a6890a411183360ac3b78a6aed933c744614ccee644dcaf500a4abed2c80fcb"),
+    (("7", "pentanomial", "--q", "7", "--Q", "7", "--R", "1", "--S", "1",
+      "--variant", "z2", "--omega", "1"), 0,
+     "3584d3c85deabc3b15a96a233b6f954fb0a1bac5781aea25f73a0eb0021fc684"),
+    (("0", "pentanomial", "--q", "7", "--Q", "1", "--R", "7", "--S", "1",
+      "--variant", "z1qr", "--omega", "1"), 0,
+     "88571c4aca3496760de06c4c5c5ce1b0e06a655bbd7767cf2823b869987d05c2"),
+    (("7", "pentanomial", "--q", "7", "--Q", "1", "--R", "1", "--S", "1",
+      "--variant", "z2qr", "--omega", "2"), 0,
+     "3528c0c34eb70b049cc49e179d9c489d053829945f65324b2103edd9d57075a5"),
+    (("0", "pentanomial", "--q", "5", "--Q", "1", "--R", "5", "--S", "1",
+      "--variant", "twisted", "--omega", "1", "--alpha-idx", "2"), 0,
+     "af9a0ec218aded8d3efaf0fbcacef5d41c1da34685b7c04de7609d7d2ab982d7"),
+    (("7", "pentanomial", "--q", "5", "--Q", "5", "--R", "1", "--S", "25",
+      "--variant", "twisted", "--omega", "2", "--alpha-idx", "4"), 0,
+     "371e8f34984f773acb3ccd823199a6c1140d997957e1bfa7e69aff29248cde6c"),
+    (("0", "pentanomial", "--q", "8", "--Q", "2", "--R", "1", "--S", "4",
+      "--variant", "twisted", "--omega", "2", "--alpha-idx", "3"), 0,
+     "a2ab689839e645d939760f0bd46094b9fb563913b5702c0598b87bee496ca846"),
+    (("7", "pentanomial", "--q", "8", "--Q", "1", "--R", "8", "--S", "2",
+      "--variant", "twisted", "--omega", "1", "--alpha-idx", "7"), 0,
+     "76c34756a2099fb0c570a6f81b8147822f96a26e165a25d2c577a5f2da597786"),
 ]
 
 

@@ -1,7 +1,12 @@
 """The batched sweep engine against a per-instance reference, a pinned digest
 of `ppf table1`, chunking, and the worker clamp."""
 
+import concurrent.futures
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from ppf import families
 from ppf.cli import main
+from ppf.errors import BadParams
 from ppf.families import (
+    BINOMIAL_CAP,
     OMEGA_SPECIAL_TAGS,
     AgreementReport,
     EpsilonSpec,
@@ -217,7 +224,7 @@ class RecordingPool:
 
 
 def test_workers_clamped_to_cpus_and_blocks(monkeypatch):
-    monkeypatch.setattr(families, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(families.os, "cpu_count", lambda: 3)
     RecordingPool.created = []
     serial = sweep_families([2], 1, 1, seed=0)
@@ -228,3 +235,43 @@ def test_workers_clamped_to_cpus_and_blocks(monkeypatch):
     assert RecordingPool.created == [3, 2]
     sweep_families([2], 1, 1, families=[1], seed=0, workers=10 ** 6)
     assert RecordingPool.created == [3, 2]  # one block runs in this process
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the process pool is imported only when a sweep runs with workers > 1
+    src = str(Path(families.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import sys, ppf, ppf.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+# -- grid bounds --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m_max, n_max", [(0, 1), (1, 0), (BINOMIAL_CAP + 1, 1),
+                                          (1, BINOMIAL_CAP + 1), (-3, 4)])
+def test_empty_or_oversized_grid_is_refused_up_front(monkeypatch, deadline, m_max, n_max):
+    # an empty grid would report 0 instances and 0 disagreements: a vacuous pass
+    monkeypatch.setattr(families, "_run_block", lambda args: pytest.fail("a block ran"))
+    with deadline(1), pytest.raises(BadParams, match=rf"1\.\.{BINOMIAL_CAP}"):
+        sweep_families([5], m_max, n_max)
+
+
+@pytest.mark.parametrize("flags", [("--m-max", "0"), ("--n-max", "0"),
+                                   ("--m-max", str(BINOMIAL_CAP + 1)),
+                                   ("--n-max", str(BINOMIAL_CAP + 1))])
+def test_cli_refuses_an_empty_or_oversized_grid(capsys, deadline, flags):
+    with deadline(1):
+        code = main(["table1", "--q", "5", *flags])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out and "BadParams" in captured.err
+
+
+def test_grid_at_the_cap_is_accepted():
+    res = sweep_families([2], BINOMIAL_CAP, 1, families=[5], seed=0)
+    # omega choices x eps (the one base unit and four omega specials) x m
+    assert len(res.reports) == 2 * 5 * BINOMIAL_CAP

@@ -7,6 +7,8 @@ frozen as regressions.
 """
 
 import itertools
+from math import gcd
+import random
 from collections import Counter
 
 import pytest
@@ -19,6 +21,7 @@ from ppf.errors import (
     EpsilonDomain,
     ZeroElement,
 )
+from ppf import families
 from ppf.families import (
     EpsilonSpec,
     FamilyParams,
@@ -37,6 +40,7 @@ from ppf.families import (
     pentanomial_identity_check,
     sweep_families,
 )
+from ppf.fields import build_tower
 from ppf.polys import SparsePoly, monomial
 
 
@@ -406,6 +410,69 @@ def test_trace_identity_alpha_outside_mu_raises(f25):
     assert rep.ok and rep.admissible_count == 4
     with pytest.raises(BadParams, match="part 1 only"):
         trace_identity_check(f25, 2, alpha=mu[1])
+
+
+def two_trace_reference(ctx, a1, a2, b1, b2, g1, g2):
+    """(predicted, oracle, witness) by scalar trace and polynomial evaluation."""
+    q = ctx.base.order
+
+    def independent(u, v):
+        return bool(u and v) and not ctx.in_base(ctx.div(v, u))
+
+    def permutes(g):
+        return len({g.eval(y) for y in range(q)}) == q
+
+    vals = [ctx.add(ctx.mul(b1, g1.eval(ctx.trace(ctx.mul(a1, x)))),
+                    ctx.mul(b2, g2.eval(ctx.trace(ctx.mul(a2, x)))))
+            for x in range(ctx.order)]
+    predicted = (independent(a1, a2) and independent(b1, b2)
+                 and permutes(g1) and permutes(g2))
+    repeated = [v for v in sorted(set(vals)) if vals.count(v) > 1]
+    witness = None
+    if repeated:
+        x1 = vals.index(repeated[0])
+        witness = [ctx.format_idx(x1), ctx.format_idx(vals.index(repeated[0], x1 + 1))]
+    return predicted, not repeated, witness
+
+
+def _random_base_poly(base, rng):
+    if rng.random() < 0.5:   # a permutation monomial
+        k = rng.choice([k for k in range(1, base.order) if gcd(k, base.order - 1) == 1])
+        return monomial(base, k, rng.randrange(1, base.order))
+    return SparsePoly(base, [(rng.randrange(base.order + 2), rng.randrange(base.order))
+                             for _ in range(rng.randrange(1, 4))])
+
+
+@pytest.mark.parametrize("fixture", ["f9", "f16", "f25"])
+def test_two_trace_matches_scalar_reference(request, fixture):
+    ctx = request.getfixturevalue(fixture)
+    q, rng = ctx.base.order, random.Random(ctx.order)
+    for trial in range(40):
+        a1, a2, b1, b2 = (rng.randrange(ctx.order) for _ in range(4))
+        if trial % 4 == 1:      # a zero in one pair, or in both
+            a2, b1 = 0, (0 if trial % 8 == 1 else b1)
+        elif trial % 4 == 2:    # dependent pairs
+            a2, b2 = ctx.mul(rng.randrange(1, q), a1), ctx.mul(rng.randrange(1, q), b1)
+        g1, g2 = _random_base_poly(ctx.base, rng), _random_base_poly(ctx.base, rng)
+        rep = two_trace_check(ctx, a1, a2, b1, b2, g1, g2)
+        predicted, oracle, witness = two_trace_reference(ctx, a1, a2, b1, b2, g1, g2)
+        assert (rep.predicted, rep.oracle, rep.witness) == (predicted, oracle, witness)
+        assert rep.agree == (predicted == oracle)
+
+
+def test_two_trace_needs_a_quadratic_extension():
+    f27 = build_tower(3, n=3)
+    x = monomial(f27.base, 1)
+    with pytest.raises(BadParams, match="degree 3"):
+        two_trace_check(f27, 1, 3, 1, 3, x, x)
+
+
+def test_pentanomial_checks_its_binomial_expansion(f25, monkeypatch):
+    expand = families.expand_linear_power
+    monkeypatch.setattr(families, "expand_linear_power",
+                        lambda ctx, c, d, e: expand(ctx, c, d, e) + monomial(ctx, 0, 1))
+    with pytest.raises(ArithmeticError, match="binomial expansion disagrees"):
+        pentanomial_identity_check(f25, 1, 1, 1, "z1")
 
 
 def test_two_trace_composites(f9, f25):

@@ -224,6 +224,15 @@ def test_embedding_is_stable(f16):
     assert f16.from_int(3) == 1  # constants reduce mod p = 2
 
 
+def test_decode_leaves_its_argument_unchanged(f9, f16):
+    for ctx in (f9, f16):
+        arr = ctx.all_indices()
+        coords = ctx.decode(arr)
+        assert arr.tolist() == list(range(ctx.order))
+        assert np.stack(coords, axis=1).tolist() == [ctx.decode(i) for i in range(ctx.order)]
+        assert ctx.encode(coords).tolist() == arr.tolist()
+
+
 def test_canonical_generator(f4, f25):
     assert f4.generator == 2
     assert all(f25.element_order(x) < 24 for x in range(1, f25.generator))

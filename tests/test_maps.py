@@ -239,3 +239,24 @@ def test_vector_map_entries_out_of_range_raise(f2, table):
     # the map is refused when it is built, before any gather can use it
     with pytest.raises(BadParams, match=r"\[0, 4\)"):
         VectorMap(f2, 2, table)
+
+
+def test_vector_map_owns_its_table(f2):
+    arr = np.array([3, 2, 1, 0])
+    g = VectorMap(f2, 2, arr)
+    arr[0] = -1
+    assert VectorMap.identity(f2, 2).compose(g).table.tolist() == [3, 2, 1, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        g.table[0] = 7
+    assert g.is_permutation()
+
+
+@pytest.mark.parametrize("p, k, n", [(2, 2, 2), (3, 1, 3), (5, 1, 2), (3, 2, 2)])
+def test_pointwise_scale_is_coordinatewise_base_scaling(p, k, n):
+    base = build_tower(p, k=k)
+    q, rng = base.order, random.Random(p * 100 + k * 10 + n)
+    g = VectorMap.random_map(base, n, rng)
+    for c in (0, 1, base.order - 1, rng.randrange(base.order)):
+        expected = [pack_vector(q, [base.mul(c, x) for x in unpack_vector(q, n, t)])
+                    for t in g.table.tolist()]
+        assert g.pointwise_scale(c).table.tolist() == expected

@@ -115,6 +115,19 @@ def test_compose_never_gathers_out_of_range(f4):
             ident.compose(FnTable(f4, values))
 
 
+def test_table_owns_its_array(f4):
+    # a later write to the caller's array must not get past the range check
+    arr = np.array([0, 1, 2, 3])
+    t = FnTable(f4, arr)
+    arr[3] = -1
+    assert FnTable.identity(f4).compose(t).values.tolist() == [0, 1, 2, 3]
+    assert t.values.tolist() == [0, 1, 2, 3]
+    # and the table's own array cannot be written either
+    with pytest.raises(ValueError, match="read-only"):
+        t.values[0] = 7
+    assert t.is_permutation()
+
+
 def test_inverse_tables(f9, f25):
     assert FnTable.identity(f9).inverse() == FnTable.identity(f9)
     frob = monomial(f9, 3).to_table()
