@@ -13,14 +13,16 @@ f5 = build_prime_field(5)
 f25 = build_extension(f5, 2)
 print("F_25 modulus (low-degree first):", f25.modulus)   # t^2 + 2
 
-x = f25.element(7)        # coords (2, 1) = 2 + t
-y = f25.element(13)       # coords (3, 2) = 3 + 2t
-print(f"x = {x}, y = {y}")
-print(f"x + y = {x + y}, x * y = {x * y}, x / y = {x / y}, x^10 = {x ** 10}")
+x = 7                     # coords (2, 1) = 2 + t
+y = 13                    # coords (3, 2) = 3 + 2t
+fmt = f25.format_idx
+print(f"x = {fmt(x)}, y = {fmt(y)}, coords of x: {f25.decode(x)}")
+print(f"x + y = {fmt(f25.add(x, y))}, x * y = {fmt(f25.mul(x, y))}, "
+      f"x / y = {fmt(f25.div(x, y))}, x^10 = {fmt(f25.pow(x, 10))}")
 
 # The Frobenius map x -> x^5 generates the Galois group; the trace lands in F_5.
-print("frobenius(x):", x.frobenius())
-print("trace(x):", x.trace(), "(an F_5 element)")
+print("frobenius(x):", fmt(f25.frobenius(x)))
+print("trace(x):", f25.trace(x), "(an F_5 element)")
 print("trace is onto: preimage counts", end=" ")
 counts = [0] * 5
 for a in range(25):

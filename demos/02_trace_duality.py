@@ -5,7 +5,6 @@ two structural homomorphisms (component traces down, linear combination up).
 from ppf.fields import build_tower
 from ppf.linalg import (
     Basis,
-    coords_of,
     dual_basis,
     eta,
     eta_inverse,
@@ -48,7 +47,8 @@ print(f"eta{coords} = {f9.format_idx(y)}, eta^-1 = {eta_inverse(f9, v, y)}")
 print("kernel for a rank-1 set:", [f9.format_idx(k) for k in kernel_of_trace_maps(f9, [t, f9.mul(2, t)])])
 print("kernel for a basis:", kernel_of_trace_maps(f9, v))
 
-# Power-basis coordinates are rho against the dual of the power basis.
+# Power-basis coordinates (the digits of the index, `decode`) are rho
+# against the dual of the power basis.
 pdual = Basis(f9, [1, t]).dual()
 print("rho with dual of power basis recovers coordinates:",
-      all(rho(f9, pdual.elems, x) == coords_of(f9, x) for x in range(9)))
+      all(rho(f9, pdual.elems, x) == tuple(f9.decode(x)) for x in range(9)))

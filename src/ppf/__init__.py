@@ -11,7 +11,6 @@ from .errors import PPFError
 from .fields import (
     DEFAULT_CAP,
     FieldCtx,
-    FieldElement,
     build_extension,
     build_prime_field,
     build_tower,
@@ -19,7 +18,6 @@ from .fields import (
 )
 from .linalg import (
     Basis,
-    coords_of,
     dual_basis,
     eta,
     eta_inverse,

@@ -8,6 +8,7 @@ JSON output is deterministic for a fixed seed: sorted keys, no timestamps.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from . import families as fam
 from . import maps as maps_mod
-from .errors import NotABasis, PPFError
+from .errors import BadParams, NotABasis, PPFError
 from .fields import DEFAULT_CAP, build_tower
 from .linalg import Basis, dual_basis
 from .polys import FnTable, parse_element, parse_poly
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISAGREE = 2
 EXIT_NEGATIVE = 3
+_WRITE_SLICE = 1 << 20  # characters per write of a long output line
 
 
 @dataclass
@@ -75,16 +77,24 @@ def parse_field_spec(spec: str, cap: int):
     return build_tower(p, k=k, n=n, modulus=modulus, cap=cap)
 
 
+def _extension_field(cfg: RunConfig):
+    """The --field context, for commands that work over its base field."""
+    ctx = parse_field_spec(cfg.field_spec, cfg.cap)
+    if ctx.base is None:
+        raise BadParams(f"needs an extension field, got {ctx}")
+    return ctx
+
+
 def _emit(cfg: RunConfig, payload: dict, text_lines: list):
     if cfg.out_format == "json":
-        data = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        data = "".join(line + "\n" for line in text_lines)
-    if cfg.out_path:
-        with open(cfg.out_path, "w") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data)
+        text_lines = [json.dumps(payload, sort_keys=True, separators=(",", ":"))]
+    with open(cfg.out_path, "w") if cfg.out_path else contextlib.nullcontext(sys.stdout) as fh:
+        for line in text_lines:
+            # in slices: a table1 report is about 25 MB, and one write of it
+            # would hold an encoded copy of the whole string
+            for i in range(0, len(line), _WRITE_SLICE):
+                fh.write(line[i:i + _WRITE_SLICE])
+            fh.write("\n")
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
@@ -132,7 +142,7 @@ def cmd_table1(cfg: RunConfig, args) -> int:
 def cmd_ast_check(cfg: RunConfig, args) -> int:
     if args.trials <= 0:
         raise ParseError("trials must be positive")
-    ctx = parse_field_spec(cfg.field_spec, cfg.cap)
+    ctx = _extension_field(cfg)
     rng = random.Random(cfg.seed)
     q, n = ctx.base.order, ctx.degree
     f_tables = [FnTable.identity(ctx),
@@ -161,7 +171,7 @@ def cmd_ast_check(cfg: RunConfig, args) -> int:
 def cmd_psi_check(cfg: RunConfig, args) -> int:
     if args.trials <= 0:
         raise ParseError("trials must be positive")
-    ctx = parse_field_spec(cfg.field_spec, cfg.cap)
+    ctx = _extension_field(cfg)
     rng = random.Random(cfg.seed)
     n, q = ctx.degree, ctx.base.order
     v = Basis(ctx, [q ** i for i in range(n)])  # power basis
@@ -184,7 +194,7 @@ def cmd_psi_check(cfg: RunConfig, args) -> int:
 
 
 def cmd_dual_basis(cfg: RunConfig, args) -> int:
-    ctx = parse_field_spec(cfg.field_spec, cfg.cap)
+    ctx = _extension_field(cfg)
     elems = [parse_element(ctx, e) for e in args.elems]
     try:
         basis = Basis(ctx, elems)

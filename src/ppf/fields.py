@@ -10,7 +10,10 @@ it embeds each base field into its extensions without re-indexing (the base
 element c has extension index c).  Unrolled down the tower, an index is the
 base-p digit string of its coordinates over F_p, D = log_p Q digits long, so
 the field is F_p^D as an additive group and addition is digitwise mod p (XOR
-when p = 2) in every context.
+when p = 2) in every context.  Elements are these plain indices throughout;
+one digit codec (`_to_digits`/`_from_digits`, on ints and index arrays)
+converts between an index and its coordinates, and also packs the vectors
+of F_q^n.
 
 Every context is built with its discrete log/exp tables (int64 arrays)
 before it is handed out.  Construction needs no tables of its own: the
@@ -35,7 +38,6 @@ import numpy as np
 from .errors import (
     BadParams,
     CharThree,
-    CtxMismatch,
     DivisionByZero,
     NoSolution,
     NotDivisor,
@@ -95,114 +97,30 @@ def _digitwise_add(u, v, p: int, order: int):
     return out
 
 
-class FieldElement:
-    """An element of a specific field context; a thin wrapper over its index."""
+def _to_digits(x, b: int, n: int) -> list:
+    """The n little-endian base-b digits of x, an int or an index array: a
+    field element's coordinates over its base, or a packed vector's
+    coordinates in F_q^n.  Never writes into x."""
+    out = []
+    for _ in range(n):
+        out.append(x % b)
+        x = x // b
+    return out
 
-    __slots__ = ("ctx", "idx")
 
-    def __init__(self, ctx: "FieldCtx", idx: int):
-        self.ctx = ctx
-        self.idx = idx
-
-    @property
-    def coords(self):
-        """Coordinates over the immediate base field, low degree first."""
-        return tuple(self.ctx.decode(self.idx))
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.ctx is not self.ctx:
-                raise CtxMismatch(f"elements of {self.ctx} and {other.ctx}")
-            return other.idx
-        if isinstance(other, int):
-            return other % self.ctx.p
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.add(self.idx, o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub(self.idx, o))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub(o, self.idx))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul(self.idx, o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.div(self.idx, o))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.div(o, self.idx))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.ctx, self.ctx.pow(self.idx, e))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg(self.idx))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.ctx is other.ctx and self.idx == other.idx
-        if isinstance(other, int):
-            return self.idx == other % self.ctx.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.idx))
-
-    def __bool__(self):
-        return self.idx != 0
-
-    def frobenius(self, i: int = 1) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.frobenius(self.idx, i))
-
-    def trace(self) -> "FieldElement":
-        ctx = self.ctx
-        return FieldElement(ctx.base, ctx.trace(self.idx))
-
-    def order(self) -> int:
-        return self.ctx.element_order(self.idx)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv(self.idx))
-
-    def __str__(self):
-        return self.ctx.format_idx(self.idx)
-
-    def __repr__(self):
-        return f"F{self.ctx.order}:{self}"
+def _from_digits(digits, b: int):
+    """Inverse of `_to_digits`: digits[0] + digits[1]*b + ... (ints or arrays)."""
+    x = 0
+    for c in reversed(digits):
+        x = x * b + c
+    return x
 
 
 class FieldCtx:
     """Common behaviour of prime fields and extension fields.
 
-    Immutable after construction; safe to share across workers.  All scalar
-    methods operate on integer element indices, `element()` wraps an index
-    into a FieldElement.
+    Immutable after construction; safe to share across workers.  Elements
+    are plain integer indices, and every scalar method takes and returns them.
     """
 
     p: int
@@ -230,30 +148,9 @@ class FieldCtx:
     def format_idx(self, idx: int) -> str:
         raise NotImplementedError
 
-    def element(self, value) -> FieldElement:
-        """Wrap an index (or coerce an integer constant / element) into this field."""
-        if isinstance(value, FieldElement):
-            if value.ctx is not self:
-                raise CtxMismatch(f"element of {value.ctx} used in {self}")
-            return value
-        idx = int(value)
-        if not 0 <= idx < self.order:
-            raise BadParams(f"index {idx} out of range for {self}")
-        return FieldElement(self, idx)
-
     def from_int(self, n: int) -> int:
         """Index of the constant n (i.e. n * 1, reduced mod p)."""
         return n % self.p
-
-    def elements(self):
-        for i in range(self.order):
-            yield FieldElement(self, i)
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
 
     # -- scalar arithmetic on indices -----------------------------------
 
@@ -510,24 +407,13 @@ class ExtensionField(FieldCtx):
     # -- representation --------------------------------------------------
 
     def decode(self, idx):
-        b, out = self.base.order, []
-        for _ in range(self.degree):
-            out.append(idx % b)
-            idx = idx // b
-        return out
+        return _to_digits(idx, self.base.order, self.degree)
 
     def encode(self, coords):
-        i = 0
-        for c in reversed(coords):
-            i = i * self.base.order + c
-        return i
+        return _from_digits(coords, self.base.order)
 
     def format_idx(self, idx):
         return "(" + ",".join(str(c) for c in self.decode(idx)) + ")"
-
-    def embed(self, base_idx: int) -> int:
-        """Index of a base-field element inside this extension (identity)."""
-        return base_idx
 
     def in_base(self, idx: int) -> bool:
         return idx < self.base.order
@@ -535,13 +421,13 @@ class ExtensionField(FieldCtx):
     # -- scalar arithmetic -------------------------------------------------
 
     def add(self, a, b):
-        ca, cb = self.decode(a), self.decode(b)
-        badd = self.base.add
-        return self.encode([badd(x, y) for x, y in zip(ca, cb)])
+        q, d, badd = self.base.order, self.degree, self.base.add
+        return _from_digits([badd(x, y) for x, y in
+                             zip(_to_digits(a, q, d), _to_digits(b, q, d))], q)
 
     def neg(self, a):
-        bneg = self.base.neg
-        return self.encode([bneg(x) for x in self.decode(a)])
+        q, bneg = self.base.order, self.base.neg
+        return _from_digits([bneg(x) for x in _to_digits(a, q, self.degree)], q)
 
     def _arr_mul_structural(self, u, v):
         """Elementwise product of index arrays (broadcasting) without this
@@ -700,11 +586,7 @@ def find_irreducible(base: FieldCtx, d: int) -> tuple:
     """
     b = base.order
     for lowidx in range(b ** d):
-        low, i = [], lowidx
-        for _ in range(d):
-            low.append(i % b)
-            i //= b
-        cand = low + [1]
+        cand = _to_digits(lowidx, b, d) + [1]
         if is_irreducible(base, cand):
             return tuple(cand)
     raise NoSolution(f"no irreducible of degree {d} over {base}")  # pragma: no cover

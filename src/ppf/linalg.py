@@ -1,47 +1,36 @@
 """Linear algebra of an extension field over its base field.
 
 An extension of degree n over F_q is an n-dimensional F_q-vector space; this
-module provides power-basis coordinates, linear-independence testing, the
-trace-form dual basis, and the two structural homomorphisms between the
-field and F_q^n: component traces one way, linear combination the other.
+module provides linear-independence testing, the trace-form dual basis, and
+the two structural homomorphisms between the field and F_q^n: component
+traces one way, linear combination the other.
 
-Coordinate vectors are plain tuples of base-field indices; a packed integer
-form (little-endian base q, matching the field's own element encoding) is
-used for table-level work.
+Elements are plain integer indices, checked against the field's order where
+they enter.  Coordinate vectors are tuples of base-field indices, and the
+table forms pack them little-endian base q with the field's own digit codec
+(`ctx.encode`/`ctx.decode`), so a packed vector is the element index whose
+power-basis coordinates it lists.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CtxMismatch, DimensionMismatch, NotABasis, SingularGram
-from .fields import ExtensionField, FieldCtx, FieldElement
+from .errors import BadParams, DimensionMismatch, NotABasis, SingularGram
+from .fields import ExtensionField, FieldCtx
 
-CandidateSet = Sequence[Union[FieldElement, int]]
-
-
-def _idx(x) -> int:
-    return x.idx if isinstance(x, FieldElement) else int(x)
+CandidateSet = Sequence[int]
 
 
 def _indices(ctx: FieldCtx, elems: CandidateSet) -> list:
-    out = []
-    for x in elems:
-        if isinstance(x, FieldElement) and x.ctx is not ctx:
-            raise CtxMismatch("element from a different field")
-        out.append(_idx(x))
+    """The elements as ints; BadParams unless each lies in 0..ctx.order-1."""
+    out = [int(x) for x in elems]
+    for x in out:
+        if not 0 <= x < ctx.order:
+            raise BadParams(f"element index {x} out of range for {ctx}")
     return out
-
-
-def coords_of(ctx: ExtensionField, x) -> tuple:
-    """Base-field coordinates of x relative to the power basis 1, t, ..., t^(n-1)."""
-    return tuple(ctx.decode(_idx(x)))
-
-
-def from_coords(ctx: ExtensionField, coords) -> int:
-    return ctx.encode(list(coords))
 
 
 def _reduce(base: FieldCtx, rows, ncols: int):
@@ -126,9 +115,6 @@ class Basis:
             self._dual = dual_basis(self.ctx, self.elems)
         return self._dual
 
-    def elements(self):
-        return [FieldElement(self.ctx, i) for i in self.elems]
-
 
 def dual_basis(ctx: ExtensionField, v: CandidateSet) -> Basis:
     """The ordered dual {u_j} with Tr(v_i u_j) = delta_ij.
@@ -136,8 +122,6 @@ def dual_basis(ctx: ExtensionField, v: CandidateSet) -> Basis:
     Solved through the trace Gram matrix against the power basis; a singular
     system means the input was not actually a basis.
     """
-    if isinstance(v, Basis):
-        v = v.elems
     idxs = _indices(ctx, v)
     n, q = ctx.degree, ctx.base.order
     if len(idxs) != n:
@@ -156,7 +140,7 @@ def dual_basis(ctx: ExtensionField, v: CandidateSet) -> Basis:
 
 def rho(ctx: ExtensionField, v: CandidateSet, x) -> tuple:
     """Component traces (Tr(v_1 x), ..., Tr(v_n x)) as a coordinate vector."""
-    xi = _idx(x)
+    xi, = _indices(ctx, [x])
     return tuple(ctx.trace(ctx.mul(vi, xi)) for vi in _indices(ctx, v))
 
 
@@ -167,13 +151,14 @@ def rho_inverse(ctx: ExtensionField, v: CandidateSet, xs) -> int:
 
 
 def eta(ctx: ExtensionField, a: CandidateSet, xs) -> int:
-    """Linear combination a_1 x_1 + ... + a_n x_n of base-field coordinates."""
-    ai = _indices(ctx, a)
-    if len(ai) != len(xs):
-        raise DimensionMismatch(f"{len(ai)} elements vs {len(xs)} coordinates")
+    """Linear combination a_1 x_1 + ... + a_n x_n of base-field coordinates
+    (a base element keeps its index in the extension)."""
+    ai, xi = _indices(ctx, a), _indices(ctx.base, xs)
+    if len(ai) != len(xi):
+        raise DimensionMismatch(f"{len(ai)} elements vs {len(xi)} coordinates")
     acc = 0
-    for c, x in zip(ai, xs):
-        acc = ctx.add(acc, ctx.mul(c, ctx.embed(_idx(x))))
+    for c, x in zip(ai, xi):
+        acc = ctx.add(acc, ctx.mul(c, x))
     return acc
 
 

@@ -9,7 +9,8 @@ by instance against the exhaustive oracle.
 
 Self-maps of F_q^n are table-backed (VectorMap) over packed coordinate
 vectors, with optional symbolic component polynomials where a construction
-provides them.
+provides them.  A packed vector is its coordinates read as little-endian
+base-q digits, by the same digit codec as a field element's index.
 """
 
 from __future__ import annotations
@@ -27,25 +28,10 @@ from .errors import (
     DimensionMismatch,
     NotPermutation,
 )
-from .fields import ExtensionField, FieldCtx, _digitwise_add
-from .linalg import CandidateSet, eta_table, dual_basis, rho_table
+from .fields import ExtensionField, FieldCtx, _digitwise_add, _from_digits, _to_digits
+from .linalg import CandidateSet, _indices, eta_table, dual_basis, rho_table
 from .polys import (FnTable, SparsePoly, _own_table, _row_counts, compose_univariate,
                     trace_poly)
-
-
-def unpack_vector(q: int, n: int, t: int) -> tuple:
-    out = []
-    for _ in range(n):
-        out.append(t % q)
-        t = t // q
-    return tuple(out)
-
-
-def pack_vector(q: int, coords) -> int:
-    t = 0
-    for c in reversed(list(coords)):
-        t = t * q + c
-    return t
 
 
 class VectorMap:
@@ -71,8 +57,8 @@ class VectorMap:
     def from_callable(cls, base: FieldCtx, n: int, fn: Callable) -> "VectorMap":
         """fn maps a coordinate tuple to a coordinate tuple."""
         q = base.order
-        table = [pack_vector(q, fn(unpack_vector(q, n, t))) for t in range(q ** n)]
-        return cls(base, n, table)
+        coords = zip(*(c.tolist() for c in _to_digits(np.arange(q ** n), q, n)))
+        return cls(base, n, [_from_digits(fn(c), q) for c in coords])
 
     @classmethod
     def random_map(cls, base: FieldCtx, n: int, rng: random.Random) -> "VectorMap":
@@ -106,8 +92,8 @@ class VectorMap:
 
     def pointwise_scale(self, c: int) -> "VectorMap":
         q = self.base.order
-        return VectorMap(self.base, self.n, pack_vector(
-            q, [self.base.arr_scale(x, c) for x in unpack_vector(q, self.n, self.table)]))
+        return VectorMap(self.base, self.n, _from_digits(
+            [self.base.arr_scale(x, c) for x in _to_digits(self.table, q, self.n)], q))
 
     def __eq__(self, other):
         return (isinstance(other, VectorMap) and self.base is other.base
@@ -190,10 +176,8 @@ def build_trace_composite(f: SparsePoly, comps: ComponentPerms, v: CandidateSet,
     _dims(ctx, v, a)
     if len(comps) != ctx.degree:
         raise DimensionMismatch(f"need {ctx.degree} component polynomials")
-    vs = [x.idx if hasattr(x, "idx") else int(x) for x in v]
-    as_ = [x.idx if hasattr(x, "idx") else int(x) for x in a]
     out = SparsePoly(ctx)
-    for vi, ai, hi in zip(vs, as_, comps.hs):
+    for vi, ai, hi in zip(_indices(ctx, v), _indices(ctx, a), comps.hs):
         ti = trace_poly(f.scale(vi))
         out = out + compose_univariate(hi, ti).scale(ai)
     return out.reduce()

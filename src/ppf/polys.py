@@ -20,7 +20,7 @@ import re
 import numpy as np
 
 from .errors import BadParams, CtxMismatch, NotPermutation, ParseError
-from .fields import FieldCtx, FieldElement
+from .fields import FieldCtx
 
 
 def reduce_exponent(e: int, order: int) -> int:
@@ -43,10 +43,6 @@ class SparsePoly:
     def __init__(self, ctx: FieldCtx, terms=()):
         acc: dict = {}
         for e, c in terms:
-            if isinstance(c, FieldElement):
-                if c.ctx is not ctx:
-                    raise CtxMismatch("coefficient from a different field")
-                c = c.idx
             e, c = int(e), int(c)
             if e < 0:
                 raise BadParams(f"negative exponent {e}")
@@ -112,8 +108,7 @@ class SparsePoly:
         return out
 
     def scale(self, c) -> "SparsePoly":
-        c = c.idx if isinstance(c, FieldElement) else int(c)
-        mul = self.ctx.mul
+        mul, c = self.ctx.mul, int(c)
         return SparsePoly(self.ctx, ((e, mul(cf, c)) for e, cf in self.terms))
 
     def frobenius_map(self, j: int = 1) -> "SparsePoly":
@@ -124,9 +119,10 @@ class SparsePoly:
 
     # -- evaluation -----------------------------------------------------------
 
-    def eval(self, x) -> int:
-        x = x.idx if isinstance(x, FieldElement) else int(x)
-        ctx, acc = self.ctx, 0
+    def eval(self, x: int) -> int:
+        ctx, acc, x = self.ctx, 0, int(x)
+        if not 0 <= x < ctx.order:
+            raise BadParams(f"element index {x} out of range for {ctx}")
         for e, c in self.terms:
             acc = ctx.add(acc, ctx.mul(c, ctx.pow(x, e)))
         return acc

@@ -221,7 +221,7 @@ def test_criterion_6_conjugation_isomorphism(f4):
         if psi(v, g1.compose(g2), f4) != p1.compose(p2):
             failures += 1
         lin = psi(v, g1.pointwise_scale(c).pointwise_add(g2), f4)
-        rhs = f4.arr_add(f4.arr_scale(p1.values, f4.embed(c)), p2.values)
+        rhs = f4.arr_add(f4.arr_scale(p1.values, c), p2.values)
         if not np.array_equal(lin.values, rhs):
             failures += 1
         if psi_inverse(v, p1) != g1 or psi_inverse(v, p2) != g2:

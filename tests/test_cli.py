@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from ppf import cli
 from ppf.cli import main, parse_field_spec
 from ppf.errors import ParseError
 from ppf.families import check_family, field_for_q_squared, params_from_report
@@ -105,6 +106,25 @@ def test_table1_json_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_output_written_in_slices_is_unchanged(tmp_path, capsys, monkeypatch, fmt):
+    # long lines are written in slices; the bytes must not depend on the slice size
+    args = ["--format", fmt, "--seed", "3", "table1", "--q", "4", "--families", "2",
+            "--m-max", "2", "--n-max", "2"]
+    whole, sliced = tmp_path / "whole", tmp_path / "sliced"
+    code = main(["--out", str(whole)] + args)
+    monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+    assert main(["--out", str(sliced)] + args) == code
+    assert sliced.read_bytes() == whole.read_bytes()
+    assert main(args) == code
+    assert capsys.readouterr().out.encode() == whole.read_bytes()
+    if fmt == "json":
+        data = whole.read_bytes()
+        assert data.endswith(b"}\n") and len(data) > 7
+        assert data == (json.dumps(json.loads(data), sort_keys=True,
+                                   separators=(",", ":")) + "\n").encode()
+
+
 def test_table1_report_round_trip(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["--format", "json", "--out", str(out), "table1", "--q", "5",
@@ -142,6 +162,15 @@ def test_dual_basis(capsys):
     assert code == 3 and "NotABasis" in out
     code, out, _ = run(capsys, "--field", "p=2,n=2", "dual-basis", "1", "(0,1)")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [("ast-check",), ("psi-check",), ("dual-basis", "1")])
+def test_base_field_commands_refuse_a_prime_field(capsys, deadline, argv):
+    with deadline(1.0):
+        code, out, err = run(capsys, "--field", "p=5", *argv)
+    assert code == 1 and not out
+    assert err == "error: BadParams: needs an extension field, got F_5\n"
+    assert "Traceback" not in err
 
 
 def test_family_command(capsys):

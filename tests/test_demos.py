@@ -1,11 +1,14 @@
-"""Each demo script runs to completion in-process (they walk the public API)."""
+"""Each demo script, and README's library quickstart, runs to completion
+in-process (they walk the public API)."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -15,4 +18,11 @@ def test_demos_found():
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_quickstart_runs(capsys):
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert block, "README has no python block"
+    exec(compile(block.group(1), "README.md quickstart", "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out

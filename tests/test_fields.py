@@ -9,7 +9,6 @@ import pytest
 
 from ppf.errors import (
     CharThree,
-    CtxMismatch,
     DivisionByZero,
     BadParams,
     NoSolution,
@@ -73,10 +72,10 @@ def test_irreducibility_facts(f2):
 
 
 def test_f4_multiplication(f4):
-    w = f4.element(2)
-    assert w * w == f4.element(3)  # w^2 = w + 1
-    for x in f4.elements():
-        assert x * f4.one() == x
+    w = 2
+    assert f4.mul(w, w) == f4.add(w, 1) == 3  # w^2 = w + 1
+    for x in range(f4.order):
+        assert f4.mul(x, 1) == x
 
 
 def test_inverse_exhaustive_f25(f25):
@@ -126,7 +125,7 @@ def test_trace_linear_exhaustive(q):
     for c in range(q):
         for x in range(ctx.order):
             for y in range(ctx.order):
-                lhs = ctx.trace(ctx.add(ctx.mul(ctx.embed(c), x), y))
+                lhs = ctx.trace(ctx.add(ctx.mul(c, x), y))
                 rhs = ctx.base.add(ctx.base.mul(c, ctx.trace(x)), ctx.trace(y))
                 assert lhs == rhs
 
@@ -201,24 +200,23 @@ def test_solve_power_q_minus_1_matches_a_scan(q):
 
 
 def test_element_wrappers(f25):
-    x = f25.element(7)
-    assert (x / x) == f25.one()
-    assert x + 0 == x and x * 1 == x
-    assert -(-x) == x
-    assert x ** 24 == f25.one()
-    assert 2 - x == -(x - 2)
-    assert (2 / x) * x == f25.element(2)
-    assert x ** -1 == x.inverse()
-    assert str(f25.element(13)) == "(3,2)"
-    assert f25.element(3).coords == (3, 0)
-    with pytest.raises(CtxMismatch):
-        x + build_tower(3, n=2).element(1)
+    # index arithmetic: an element is its index, and a base constant c is index c
+    x = 7
+    assert f25.div(x, x) == 1
+    assert f25.add(x, 0) == x and f25.mul(x, 1) == x
+    assert f25.neg(f25.neg(x)) == x
+    assert f25.pow(x, 24) == 1
+    assert f25.sub(2, x) == f25.neg(f25.sub(x, 2))
+    assert f25.mul(f25.div(2, x), x) == 2
+    assert f25.pow(x, -1) == f25.inv(x)
+    assert f25.format_idx(13) == "(3,2)"
+    assert f25.decode(3) == [3, 0]
 
 
 def test_embedding_is_stable(f16):
     # base elements keep their index inside the extension
     for c in range(4):
-        assert f16.embed(c) == c
+        assert f16.decode(c) == [c, 0]
         assert f16.in_base(c)
     assert not f16.in_base(7)
     assert f16.from_int(3) == 1  # constants reduce mod p = 2
@@ -231,6 +229,22 @@ def test_decode_leaves_its_argument_unchanged(f9, f16):
         assert arr.tolist() == list(range(ctx.order))
         assert np.stack(coords, axis=1).tolist() == [ctx.decode(i) for i in range(ctx.order)]
         assert ctx.encode(coords).tolist() == arr.tolist()
+
+
+@pytest.mark.parametrize("b, n", [(2, 1), (2, 5), (3, 3), (4, 2), (25, 2)])
+def test_digit_codec_round_trip(b, n):
+    # the one codec behind decode/encode and the packed vectors of F_q^n
+    for x in range(b ** n):
+        digits = fields._to_digits(x, b, n)
+        assert len(digits) == n and all(0 <= c < b for c in digits)
+        assert fields._from_digits(digits, b) == x
+    arr = np.arange(b ** n, dtype=np.int64).reshape(-1, b)
+    digits = fields._to_digits(arr, b, n)
+    assert arr.tolist() == np.arange(b ** n).reshape(-1, b).tolist()  # left unchanged
+    assert [d.shape for d in digits] == [arr.shape] * n
+    for (i, j), x in np.ndenumerate(arr):
+        assert [int(d[i, j]) for d in digits] == fields._to_digits(int(x), b, n)
+    assert np.array_equal(fields._from_digits(digits, b), arr)
 
 
 def test_canonical_generator(f4, f25):

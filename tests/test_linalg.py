@@ -6,18 +6,16 @@ import itertools
 import numpy as np
 import pytest
 
-from ppf.errors import DimensionMismatch, NotABasis, SingularGram
+from ppf.errors import BadParams, DimensionMismatch, NotABasis, SingularGram
 from ppf.fields import build_tower, field_for_q_squared
 from ppf.linalg import (
     Basis,
     _reduce,
     _solve_all,
-    coords_of,
     dual_basis,
     eta,
     eta_inverse,
     eta_table,
-    from_coords,
     is_linearly_independent,
     kernel_of_trace_maps,
     rho,
@@ -34,11 +32,11 @@ def all_bases(ctx):
 
 
 def test_coords_round_trip(f16, f25):
-    assert coords_of(f25, 0) == (0, 0)
+    assert f25.decode(0) == [0, 0]
     t_idx = 5  # the adjoined root has index q in the little-endian encoding
-    assert coords_of(f25, t_idx) == (0, 1)
+    assert f25.decode(t_idx) == [0, 1]
     for x in range(16):
-        assert from_coords(f16, coords_of(f16, x)) == x
+        assert f16.encode(f16.decode(x)) == x
 
 
 def test_independence_basics(f25):
@@ -93,7 +91,7 @@ def test_rho_basics(f9):
     for c in range(3):
         for x in range(9):
             for y in range(9):
-                lhs = rho(f9, v, f9.add(f9.mul(f9.embed(c), x), y))
+                lhs = rho(f9, v, f9.add(f9.mul(c, x), y))
                 rx, ry = rho(f9, v, x), rho(f9, v, y)
                 rhs = tuple(f9.base.add(f9.base.mul(c, rx[i]), ry[i]) for i in range(2))
                 assert lhs == rhs
@@ -103,7 +101,7 @@ def test_rho_with_dual_of_power_basis_is_coords(f25):
     power = Basis(f25, [1, 5])
     v = power.dual()
     for x in range(25):
-        assert rho(f25, v.elems, x) == coords_of(f25, x)
+        assert rho(f25, v.elems, x) == tuple(f25.decode(x))
 
 
 def test_rho_inverse_contract(f16):
@@ -135,7 +133,7 @@ def test_eta_basics(f4, f25):
     assert collision is not None
     # power-basis eta inverts coords
     for x in range(25):
-        assert eta(f25, [1, 5], coords_of(f25, x)) == x
+        assert eta(f25, [1, 5], f25.decode(x)) == x
 
 
 def test_eta_inverse_contract(f9):
@@ -144,6 +142,21 @@ def test_eta_inverse_contract(f9):
             assert eta_inverse(f9, a, eta(f9, a, xs)) == xs
         assert eta_inverse(f9, a, 0) == (0, 0)
         assert eta_inverse(f9, a, a[0]) == (1, 0)
+
+
+@pytest.mark.parametrize("cand", [[30, 1], [-1, 1], [1, 25]])
+def test_element_indices_out_of_range_raise(f25, cand):
+    # -1 would otherwise alias 24 through the log table, and 25 or 30 read
+    # past its end
+    for fn in (is_linearly_independent, rho_table, eta_table, kernel_of_trace_maps,
+               Basis, dual_basis):
+        with pytest.raises(BadParams, match="out of range for F_25"):
+            fn(f25, cand)
+    for x in (-1, 25):
+        with pytest.raises(BadParams):
+            rho(f25, [1, 5], x)
+    with pytest.raises(BadParams):
+        eta(f25, [1, 5], (5, 0))    # coordinates are base-field indices
 
 
 def test_kernel_of_trace_maps(f9):

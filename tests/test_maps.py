@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ppf.errors import BadParams, ComponentNotPermutation, NotPermutation
-from ppf.fields import build_extension, build_prime_field, build_tower, field_for_q_squared
+from ppf.fields import (_from_digits, _to_digits, build_extension, build_prime_field, build_tower,
+                        field_for_q_squared)
 from ppf.linalg import Basis, dual_basis, eta_table, rho_table
 from ppf.maps import (
     ComponentPerms,
@@ -18,10 +19,8 @@ from ppf.maps import (
     compose_field_map,
     compose_corollary_vec,
     monomial_family,
-    pack_vector,
     psi,
     psi_inverse,
-    unpack_vector,
 )
 from ppf.polys import FnTable, SparsePoly, monomial
 
@@ -209,6 +208,15 @@ def test_psi_injective_on_sample(f4):
         seen[key] = g.table.tobytes()
 
 
+def test_composition_conditions_refuse_indices_out_of_range(f25):
+    g = VectorMap.identity(f25.base, 2)
+    for v in ([-1, 1], [30, 1]):
+        with pytest.raises(BadParams, match="out of range for F_25"):
+            composition_conditions(f25, v, [1, 5], g)
+        with pytest.raises(BadParams, match="out of range for F_25"):
+            compose_field_map(FnTable.identity(f25), [1, 5], g, v)
+
+
 def test_psi_scaling_linear(f9):
     v = power_basis(f9)
     rng = random.Random(15)
@@ -216,7 +224,7 @@ def test_psi_scaling_linear(f9):
         g = VectorMap.random_map(f9.base, 2, rng)
         c = rng.randrange(1, 3)
         lhs = psi(v.elems, g.pointwise_scale(c), f9)
-        rhs = f9.arr_scale(psi(v.elems, g, f9).values, f9.embed(c))
+        rhs = f9.arr_scale(psi(v.elems, g, f9).values, c)
         assert np.array_equal(lhs.values, rhs)
 
 
@@ -227,8 +235,8 @@ def test_pointwise_add_is_coordinatewise_base_addition(p, k, n):
     q, rng = base.order, random.Random(p * 100 + k * 10 + n)
     g1 = VectorMap.random_map(base, n, rng)
     g2 = VectorMap.random_map(base, n, rng)
-    expected = [pack_vector(q, [base.add(x, y) for x, y in
-                                zip(unpack_vector(q, n, s), unpack_vector(q, n, t))])
+    expected = [_from_digits([base.add(x, y) for x, y in
+                              zip(_to_digits(s, q, n), _to_digits(t, q, n))], q)
                 for s, t in zip(g1.table.tolist(), g2.table.tolist())]
     assert g1.pointwise_add(g2).table.tolist() == expected
 
@@ -257,6 +265,6 @@ def test_pointwise_scale_is_coordinatewise_base_scaling(p, k, n):
     q, rng = base.order, random.Random(p * 100 + k * 10 + n)
     g = VectorMap.random_map(base, n, rng)
     for c in (0, 1, base.order - 1, rng.randrange(base.order)):
-        expected = [pack_vector(q, [base.mul(c, x) for x in unpack_vector(q, n, t)])
+        expected = [_from_digits([base.mul(c, x) for x in _to_digits(t, q, n)], q)
                     for t in g.table.tolist()]
         assert g.pointwise_scale(c).table.tolist() == expected

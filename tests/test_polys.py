@@ -61,6 +61,13 @@ def test_eval_basics(f25):
     assert all(zero.eval(a) == 0 for a in range(25))
 
 
+@pytest.mark.parametrize("x", [-1, 25, 30])
+def test_eval_out_of_range_raises(f25, x):
+    # -1 would otherwise alias 24 through the log table
+    with pytest.raises(BadParams, match="out of range for F_25"):
+        SparsePoly(f25, [(3, 1)]).eval(x)
+
+
 def test_example_trinomial_identity(f25):
     # (x + a x^5)^3 + (x - a x^5)^3 = 2(x^3 + 3 a^2 x^11) for a in mu_6
     for alpha in f25.subgroup_mu(6):
