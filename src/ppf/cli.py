@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import itertools
 import json
 import os
 import random
@@ -27,7 +29,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISAGREE = 2
 EXIT_NEGATIVE = 3
-_WRITE_SLICE = 1 << 20  # characters per write of a long output line
+_REPORTS_PER_CHUNK = 4096  # table1 JSON reports per write
+_JSON_BOOL = ("false", "true")
 
 
 @dataclass
@@ -85,16 +88,18 @@ def _extension_field(cfg: RunConfig):
     return ctx
 
 
-def _emit(cfg: RunConfig, payload: dict, text_lines: list):
+def _render(cfg: RunConfig, payload: dict, text_lines: list) -> list:
+    """A command's output as chunks: payload as one JSON line, or the text lines."""
     if cfg.out_format == "json":
-        text_lines = [json.dumps(payload, sort_keys=True, separators=(",", ":"))]
+        return [json.dumps(payload, sort_keys=True, separators=(",", ":")), "\n"]
+    return [line + "\n" for line in text_lines]
+
+
+def _emit(cfg: RunConfig, chunks) -> None:
+    """Write the chunks, each of bounded size, to --out or stdout."""
     with open(cfg.out_path, "w") if cfg.out_path else contextlib.nullcontext(sys.stdout) as fh:
-        for line in text_lines:
-            # in slices: a table1 report is about 25 MB, and one write of it
-            # would hold an encoded copy of the whole string
-            for i in range(0, len(line), _WRITE_SLICE):
-                fh.write(line[i:i + _WRITE_SLICE])
-            fh.write("\n")
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
@@ -104,12 +109,51 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     is_pp = table.is_permutation()
     payload = {"seed": cfg.seed, "field": str(ctx), "poly": str(poly.reduce()),
                "is_permutation": is_pp, "inverse_table_available": is_pp}
-    _emit(cfg, payload, [f"seed: {cfg.seed}",
-                         f"field: {ctx}",
-                         f"poly: {poly.reduce()}",
-                         f"is_permutation: {is_pp}",
-                         f"inverse_table_available: {is_pp}"])
+    _emit(cfg, _render(cfg, payload, [f"seed: {cfg.seed}",
+                                      f"field: {ctx}",
+                                      f"poly: {poly.reduce()}",
+                                      f"is_permutation: {is_pp}",
+                                      f"inverse_table_available: {is_pp}"]))
     return EXIT_OK if is_pp else EXIT_NEGATIVE
+
+
+def _table1_json(cfg: RunConfig, args, qs: list, result: fam.SweepResult):
+    """table1's JSON line, byte for byte as json.dumps(payload, sort_keys=True,
+    separators=(",", ":")) + "\\n" writes it, in chunks of at most
+    _REPORTS_PER_CHUNK reports.
+
+    Each report is formatted from its variant's key-sorted template straight
+    from the columns; element and tag strings are escaped by json.dumps once
+    per sweep block (the variants sharing one names dict).
+    """
+    dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    yield ('{"disagreements":%d,"errors":%s,"instances":%d,"m_max":%d,"n_max":%d,'
+           '"q":%s,"reports":[' % (result.disagreements, dumps(result.errors),
+                                   result.instances, args.m_max, args.n_max, dumps(qs)))
+    names, sep = None, ""
+    for v in result.variants:
+        if v.names is not names:  # a new block
+            names = v.names
+            esc = functools.cache(json.dumps)
+            wit = {i: json.dumps(text) for i, text in names.items()}
+        family, q, *texts = v.head
+        alpha, beta, omega, sign = (esc(t).replace("%", "%%") for t in texts)
+        template = ('{"agree":%s,"alpha":' + alpha + ',"beta":' + beta
+                    + ',"epsilon":{"tag":%s,"value":%s},"family":' + str(family)
+                    + ',"m":%d,"n":%d,"omega":' + omega + ',"oracle":%s,"predicted":%s,"q":'
+                    + str(q) + ',"sign":' + sign + ',"witness":%s}')
+        eps = [(esc(tag), esc(value)) for tag, value in v.eps]
+        for r0 in range(0, len(v.m), _REPORTS_PER_CHUNK):
+            rows = slice(r0, r0 + _REPORTS_PER_CHUNK)
+            reports = [
+                template % (_JSON_BOOL[pred == orc], *eps[e], m, n, _JSON_BOOL[orc],
+                            _JSON_BOOL[pred], "null" if orc else f"[{wit[a]},{wit[b]}]")
+                for m, n, e, pred, orc, a, b in zip(
+                    *(c[rows].tolist() for c in (v.m, v.n, v.eps_idx, v.predicted,
+                                                 v.oracle, v.x1, v.x2)))]
+            yield sep + ",".join(reports)
+            sep = ","
+    yield '],"seed":%d}\n' % cfg.seed
 
 
 def cmd_table1(cfg: RunConfig, args) -> int:
@@ -121,21 +165,19 @@ def cmd_table1(cfg: RunConfig, args) -> int:
         families = [int(f) for f in args.families.split(",") if f]
     result = fam.sweep_families(qs, args.m_max, args.n_max, families=families,
                               seed=cfg.seed, workers=args.workers, cap=cfg.cap)
-    payload = {"seed": cfg.seed, "q": qs, "m_max": args.m_max, "n_max": args.n_max,
-               "instances": len(result.reports),
-               "disagreements": result.disagreements,
-               "errors": result.errors,
-               "reports": [r.to_json() for r in result.reports]}
-    lines = [f"seed: {cfg.seed}",
-             f"instances: {len(result.reports)}",
-             f"disagreements: {result.disagreements}"]
-    for err in result.errors:
-        lines.append(f"error: q={err['q']} family={err['family']}: {err['error']}")
-    for r in result.disagreeing()[:20]:
-        lines.append(f"disagree: family={r.family} q={r.q} m={r.m} n={r.n} "
-                     f"alpha={r.alpha} beta={r.beta} eps={r.epsilon} "
-                     f"predicted={r.predicted} oracle={r.oracle}")
-    _emit(cfg, payload, lines)
+    if cfg.out_format == "json":
+        _emit(cfg, _table1_json(cfg, args, qs, result))
+    else:
+        lines = [f"seed: {cfg.seed}",
+                 f"instances: {result.instances}",
+                 f"disagreements: {result.disagreements}"]
+        for err in result.errors:
+            lines.append(f"error: q={err['q']} family={err['family']}: {err['error']}")
+        for r in itertools.islice(result.iter_disagreeing(), 20):
+            lines.append(f"disagree: family={r.family} q={r.q} m={r.m} n={r.n} "
+                         f"alpha={r.alpha} beta={r.beta} eps={r.epsilon} "
+                         f"predicted={r.predicted} oracle={r.oracle}")
+        _emit(cfg, [line + "\n" for line in lines])
     return EXIT_OK if result.disagreements == 0 else EXIT_DISAGREE
 
 
@@ -163,8 +205,8 @@ def cmd_ast_check(cfg: RunConfig, args) -> int:
                 failures += 1
     payload = {"seed": cfg.seed, "field": str(ctx), "trials": args.trials,
                "checked": checked, "failures": failures}
-    _emit(cfg, payload, [f"seed: {cfg.seed}", f"checked: {checked}",
-                         f"failures: {failures}"])
+    _emit(cfg, _render(cfg, payload, [f"seed: {cfg.seed}", f"checked: {checked}",
+                                      f"failures: {failures}"]))
     return EXIT_OK if failures == 0 else EXIT_DISAGREE
 
 
@@ -189,7 +231,7 @@ def cmd_psi_check(cfg: RunConfig, args) -> int:
             failures += 1
     payload = {"seed": cfg.seed, "field": str(ctx), "trials": args.trials,
                "failures": failures}
-    _emit(cfg, payload, [f"seed: {cfg.seed}", f"failures: {failures}"])
+    _emit(cfg, _render(cfg, payload, [f"seed: {cfg.seed}", f"failures: {failures}"]))
     return EXIT_OK if failures == 0 else EXIT_DISAGREE
 
 
@@ -198,9 +240,9 @@ def cmd_dual_basis(cfg: RunConfig, args) -> int:
     elems = [parse_element(ctx, e) for e in args.elems]
     try:
         basis = Basis(ctx, elems)
-    except (NotABasis, PPFError) as exc:
-        _emit(cfg, {"seed": cfg.seed, "error": "NotABasis", "detail": str(exc)},
-              [f"NotABasis: {exc}"])
+    except NotABasis as exc:  # a wrong element count is a usage error
+        _emit(cfg, _render(cfg, {"seed": cfg.seed, "error": "NotABasis", "detail": str(exc)},
+                           [f"NotABasis: {exc}"]))
         return EXIT_NEGATIVE
     dual = basis.dual()
     gram_ok = all(
@@ -210,8 +252,8 @@ def cmd_dual_basis(cfg: RunConfig, args) -> int:
                "basis": [ctx.format_idx(i) for i in basis.elems],
                "dual": [ctx.format_idx(i) for i in dual.elems],
                "gram_ok": gram_ok}
-    _emit(cfg, payload, [f"dual: {' '.join(ctx.format_idx(i) for i in dual.elems)}",
-                         f"gram_ok: {gram_ok}"])
+    _emit(cfg, _render(cfg, payload, [f"dual: {' '.join(ctx.format_idx(i) for i in dual.elems)}",
+                                      f"gram_ok: {gram_ok}"]))
     return EXIT_OK
 
 
@@ -237,10 +279,10 @@ def cmd_family(cfg: RunConfig, args) -> int:
         omega_choice=args.omega, sign=-1 if args.sign == "-" else 1)
     report = fam.check_family(ctx, params)
     payload = {"seed": cfg.seed, **report.to_json()}
-    _emit(cfg, payload, [f"predicted: {report.predicted}",
-                         f"oracle: {report.oracle}",
-                         f"agree: {report.agree}",
-                         f"witness: {report.witness}"])
+    _emit(cfg, _render(cfg, payload, [f"predicted: {report.predicted}",
+                                      f"oracle: {report.oracle}",
+                                      f"agree: {report.agree}",
+                                      f"witness: {report.witness}"]))
     return EXIT_OK if report.agree else EXIT_DISAGREE
 
 
@@ -250,8 +292,8 @@ def cmd_lemma31(cfg: RunConfig, args) -> int:
     report = fam.trace_identity_check(ctx, args.part, omega_choice=args.omega, alpha=alpha)
     payload = {"seed": cfg.seed, "part": args.part, "q": args.q, "ok": report.ok,
                "admissible": report.admissible_count, "checked": report.checked}
-    _emit(cfg, payload, [f"part {args.part} q={args.q}: ok={report.ok} "
-                         f"admissible={report.admissible_count}"])
+    _emit(cfg, _render(cfg, payload, [f"part {args.part} q={args.q}: ok={report.ok} "
+                                      f"admissible={report.admissible_count}"]))
     return EXIT_OK if report.ok else EXIT_DISAGREE
 
 
@@ -264,11 +306,11 @@ def cmd_pentanomial(cfg: RunConfig, args) -> int:
                "Q": args.Q, "R": args.R, "S": args.S, "exponent": report.exponent,
                "identity_ok": report.identity_ok, "predicted": report.predicted,
                "oracle": report.oracle, "ok": report.ok}
-    _emit(cfg, payload, [f"exponent: {report.exponent}",
-                         f"identity_ok: {report.identity_ok}",
-                         f"predicted: {report.predicted}",
-                         f"oracle: {report.oracle}",
-                         f"ok: {report.ok}"])
+    _emit(cfg, _render(cfg, payload, [f"exponent: {report.exponent}",
+                                      f"identity_ok: {report.identity_ok}",
+                                      f"predicted: {report.predicted}",
+                                      f"oracle: {report.oracle}",
+                                      f"ok: {report.ok}"]))
     return EXIT_OK if report.ok else EXIT_DISAGREE
 
 
@@ -288,7 +330,7 @@ def cmd_lappano(cfg: RunConfig, args) -> int:
     lines = [f"q={args.q} checked={len(rows)} disagreements={disagreements}"]
     lines += [f"a={r['a']} predicted={r['predicted']} oracle={r['oracle']}"
               for r in rows if not r["agree"]]
-    _emit(cfg, payload, lines)
+    _emit(cfg, _render(cfg, payload, lines))
     return EXIT_OK if disagreements == 0 else EXIT_DISAGREE
 
 

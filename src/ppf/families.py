@@ -316,62 +316,99 @@ def _summand_tables(ctx: ExtensionField, c: int, d: int, exponents) -> np.ndarra
     return np.array(rows)
 
 
-def _reports(fmt, head: tuple, cells, predicted, values: np.ndarray) -> list:
-    """One AgreementReport per row of the 2-D table array `values`.
+@dataclass
+class VariantColumns:
+    """Condition-vs-oracle outcomes of one variant's eps x m x n grid.
 
-    head: (family, q, alpha, beta, omega, sign), shared by the rows; cells:
-    (m, n, eps tag, eps) per row; predicted: the condition per row.  One
-    row-wise count gives every verdict and first witness.
+    head: (family, q, alpha, beta, omega, sign), shared by the rows; eps: a
+    (tag, value) string pair per eps index; names: element index ->
+    format_idx string for every witness element (a sweep block's variants
+    share one).  The rest are numpy columns, one entry per instance in grid
+    order (eps-major, then m, then n); the witness pair x1 < x2 is
+    meaningful where oracle is False.
     """
-    family, q, alpha, beta, omega, sign = head
+
+    head: tuple
+    eps: list
+    names: dict
+    m: np.ndarray
+    n: np.ndarray
+    eps_idx: np.ndarray
+    predicted: np.ndarray
+    oracle: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+
+
+def _agreement_reports(cols: VariantColumns, rows):
+    """AgreementReports for `rows` (a slice or an index array) of one
+    variant's columns, built one at a time."""
+    family, q, alpha, beta, omega, sign = cols.head
+    names, eps = cols.names, cols.eps
+    picked = (c[rows].tolist() for c in (cols.m, cols.n, cols.eps_idx, cols.predicted,
+                                         cols.oracle, cols.x1, cols.x2))
+    for m, n, e, pred, orc, a, b in zip(*picked):
+        tag, value = eps[e]
+        yield AgreementReport(family, q, m, n, alpha, beta, omega, sign,
+                              {"tag": tag, "value": value}, pred, orc, pred == orc,
+                              None if orc else [names[a], names[b]])
+
+
+def _grid(eps_count: int, ms, ns) -> tuple:
+    """The (m, n, eps index) columns of an eps x m x n grid, in grid order."""
+    e, m, n = np.meshgrid(np.arange(eps_count), np.asarray(ms), np.asarray(ns),
+                          indexing="ij")
+    return m.ravel(), n.ravel(), e.ravel()
+
+
+def _decide(values: np.ndarray, fmt, names: dict) -> tuple:
+    """(oracle, x1, x2) for the rows of the 2-D table array `values`: one
+    row-wise count gives every verdict and first witness.  Adds the string
+    of each witness element to names."""
     hit, x1, x2 = first_collisions(values)
-    return [AgreementReport(family, q, m, n, alpha, beta, omega, sign,
-                            {"tag": tag, "value": fmt(eps)}, pred, not h, pred != h,
-                            [fmt(a), fmt(b)] if h else None)
-            for (m, n, tag, eps), pred, h, a, b
-            in zip(cells, predicted, hit.tolist(), x1.tolist(), x2.tolist())]
+    names.update((i, fmt(i)) for i in np.unique(np.concatenate([x1[hit], x2[hit]])).tolist())
+    return ~hit, x1, x2
 
 
-def _variant_reports(ctx: ExtensionField, p: FamilyParams, eps_specs, ms, ns,
-                     fmt, summands) -> list:
-    """Reports for the eps x m x n grid of p's variant (family, alpha/beta,
-    omega choice, sign; p's own m, n and eps are ignored), in grid order.
+def _variant_columns(ctx: ExtensionField, p: FamilyParams, eps_specs, ms, ns,
+                     grid: tuple, fmt, summands, names: dict) -> VariantColumns:
+    """Columns for the eps x m x n grid of p's variant (family, alpha/beta,
+    omega choice, sign; p's own m, n and eps are ignored).
 
     Instance (eps, m, n) is the row first[m] + eps * second[n] of one 2-D
     table array, built and decided CHUNK_VALUES table entries at a time.
-    fmt formats element indices and summands(c, d, exponents) builds summand
-    tables (_summand_tables over ctx; sweeps pass per-block memos of both).
+    grid is _grid(len(eps_specs), ms, ns); fmt formats element indices and
+    summands(c, d, exponents) builds summand tables (_summand_tables over
+    ctx; sweeps pass per-block memos of both and one names dict per block).
     """
     (c1, d1), (c2, d2), w = _branches(ctx, p)
     eps_values = [_eps_value(ctx, s, w) for s in eps_specs]
     first = summands(c1, d1, ms)
     second = summands(c2, d2, ns)
-    cells = [(m, n, s.tag, eps) for s, eps in zip(eps_specs, eps_values)
-             for m in ms for n in ns]
-    if not cells:
-        return []
-    predicted = _conditions(ctx, p, eps_specs, eps_values, ms, ns).ravel().tolist()
-    head = (p.family, p.q, fmt(d1), fmt(d2), fmt(w) if w else "",
-            "-" if p.sign < 0 else "+")
+    predicted = _conditions(ctx, p, eps_specs, eps_values, ms, ns).ravel()
     eps_col = np.array(eps_values)[:, None]
     M, N = len(ms), len(ns)
     step = max(1, CHUNK_VALUES // ctx.order)
-    reports = []
-    for r0 in range(0, len(cells), step):
-        r = np.arange(r0, min(r0 + step, len(cells)))
+    chunks = []
+    for r0 in range(0, len(predicted), step):
+        r = np.arange(r0, min(r0 + step, len(predicted)))
         values = ctx.arr_add(first[r // N % M],
                              ctx.arr_mul(eps_col[r // (M * N)], second[r % N]))
-        reports += _reports(fmt, head, cells[r0:r0 + step], predicted[r0:r0 + step],
-                            values)
-    return reports
+        chunks.append(_decide(values, fmt, names))
+    oracle, x1, x2 = (np.concatenate(c) for c in zip(*chunks))
+    head = (p.family, p.q, fmt(d1), fmt(d2), fmt(w) if w else "",
+            "-" if p.sign < 0 else "+")
+    eps = [(s.tag, fmt(v)) for s, v in zip(eps_specs, eps_values)]
+    return VariantColumns(head, eps, names, *grid, predicted, oracle, x1, x2)
 
 
 def check_family(ctx: ExtensionField, p: FamilyParams) -> AgreementReport:
     """Condition vs exhaustive oracle for one instance: the engine on a
     1 x 1 x 1 grid, with the expansion checked against direct evaluation."""
     validate_params(ctx, p)
-    return _variant_reports(ctx, p, [p.epsilon], [p.m], [p.n], ctx.format_idx,
-                            functools.partial(_summand_tables, ctx))[0]
+    cols = _variant_columns(ctx, p, [p.epsilon], [p.m], [p.n], _grid(1, [p.m], [p.n]),
+                            ctx.format_idx, functools.partial(_summand_tables, ctx), {})
+    return next(_agreement_reports(cols, slice(None)))
 
 
 def params_from_report(record: dict) -> FamilyParams:
@@ -443,36 +480,56 @@ def _sweep_variants(family: int, q: int, eps0: EpsilonSpec) -> list:
             for oc in (1, 2) for s in signs]
 
 
-def _run_block(args):
-    """One (q, family) sweep block: each variant's eps x m x n grid through
-    the batched engine, element strings formatted and summand tables built
+def _run_block(args) -> list:
+    """One (q, family) sweep block: VariantColumns for each variant's
+    eps x m x n grid.  Element strings are formatted, summand tables built
     (family 1's first form depends only on alpha, its second only on beta)
-    once per block."""
+    and the grid columns made once per block."""
     q, family, m_max, n_max, seed, cap = args
     ctx = field_for_q_squared(q, cap=cap)
     rng = random.Random(seed * 1_000_003 + q * 1009 + family)
     eps_list = _eps_specs(ctx, family, q, rng)
     ms, ns = range(1, m_max + 1), range(1, n_max + 1)
+    grid = _grid(len(eps_list), ms, ns)
     fmt = functools.cache(ctx.format_idx)
     summands = functools.cache(functools.partial(_summand_tables, ctx))
-    reports = []
-    for variant in _sweep_variants(family, q, eps_list[0]):
-        reports += _variant_reports(ctx, variant, eps_list, ms, ns, fmt, summands)
-    return reports
+    names = {}
+    return [_variant_columns(ctx, variant, eps_list, ms, ns, grid, fmt, summands, names)
+            for variant in _sweep_variants(family, q, eps_list[0])]
 
 
 @dataclass
 class SweepResult:
-    reports: list = field(default_factory=list)
+    """A sweep's outcomes: one VariantColumns per variant, in sweep order.
+
+    instances and disagreements are counted once, from the columns;
+    AgreementReports are built only on demand (reports, disagreeing).
+    """
+
+    variants: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     seed: int = 0
+    instances: int = field(init=False)
+    disagreements: int = field(init=False)
 
-    @property
-    def disagreements(self) -> int:
-        return sum(1 for r in self.reports if not r.agree)
+    def __post_init__(self):
+        self.instances = sum(len(v.m) for v in self.variants)
+        self.disagreements = sum(int(np.count_nonzero(v.predicted != v.oracle))
+                                 for v in self.variants)
+
+    @functools.cached_property
+    def reports(self) -> list:
+        """Every instance's AgreementReport, in sweep order."""
+        return [r for v in self.variants for r in _agreement_reports(v, slice(None))]
+
+    def iter_disagreeing(self):
+        """The disagreeing instances' AgreementReports, in sweep order, built
+        one at a time."""
+        for v in self.variants:
+            yield from _agreement_reports(v, np.flatnonzero(v.predicted != v.oracle))
 
     def disagreeing(self) -> list:
-        return [r for r in self.reports if not r.agree]
+        return list(self.iter_disagreeing())
 
 
 def sweep_families(q_list, m_max: int, n_max: int, families=None, seed: int = 0,
@@ -488,14 +545,13 @@ def sweep_families(q_list, m_max: int, n_max: int, families=None, seed: int = 0,
     for name, top in (("m_max", m_max), ("n_max", n_max)):
         if not 1 <= top <= BINOMIAL_CAP:
             raise BadParams(f"{name} must lie in 1..{BINOMIAL_CAP}, got {top}")
-    result = SweepResult(seed=seed)
-    blocks = []
+    errors, blocks, variants = [], [], []
     for q in q_list:
         valid = applicable_families(q)
         wanted = valid if families is None else list(families)
         for fam in wanted:
             if fam not in valid:
-                result.errors.append(
+                errors.append(
                     {"q": q, "family": fam, "error": "BadModulusClass",
                      "detail": f"family {fam} is not admissible at q={q}"})
                 continue
@@ -504,12 +560,12 @@ def sweep_families(q_list, m_max: int, n_max: int, families=None, seed: int = 0,
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pools need multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for reports in pool.map(_run_block, blocks):
-                result.reports.extend(reports)
+            for columns in pool.map(_run_block, blocks):
+                variants.extend(columns)
     else:
         for block in blocks:
-            result.reports.extend(_run_block(block))
-    return result
+            variants.extend(_run_block(block))
+    return SweepResult(variants, errors, seed)
 
 
 # -- worked examples and cross-checks -----------------------------------------
@@ -678,9 +734,11 @@ def two_trace_check(ctx: ExtensionField, a1: int, a2: int, b1: int, b2: int,
     g = VectorMap(base, 2, ctx.encode([g1.to_table().values[y1], g2.to_table().values[y2]]))
     predicted = all(composition_conditions(ctx, [a1, a2], [b1, b2], g))
     vals = compose_field_map(FnTable.identity(ctx), [a1, a2], g, [b1, b2]).values
-    fmt = ctx.format_idx
-    head = (0, base.order, fmt(a1), fmt(a2), "", "+")
-    return _reports(fmt, head, [(0, 0, "ext_star", b1)], [predicted], vals[None, :])[0]
+    fmt, names = ctx.format_idx, {}
+    cols = VariantColumns((0, base.order, fmt(a1), fmt(a2), "", "+"),
+                          [("ext_star", fmt(b1))], names, *_grid(1, [0], [0]),
+                          np.array([predicted]), *_decide(vals[None, :], fmt, names))
+    return next(_agreement_reports(cols, slice(None)))
 
 
 @dataclass

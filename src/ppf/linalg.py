@@ -25,6 +25,13 @@ CandidateSet = Sequence[int]
 
 
 def _indices(ctx: FieldCtx, elems: CandidateSet) -> list:
+    """Elements of the extension ctx as ints; BadParams for a prime field."""
+    if ctx.base is None:
+        raise BadParams(f"needs an extension field, got {ctx}")
+    return _in_range(ctx, elems)
+
+
+def _in_range(ctx: FieldCtx, elems: CandidateSet) -> list:
     """The elements as ints; BadParams unless each lies in 0..ctx.order-1."""
     out = [int(x) for x in elems]
     for x in out:
@@ -153,7 +160,7 @@ def rho_inverse(ctx: ExtensionField, v: CandidateSet, xs) -> int:
 def eta(ctx: ExtensionField, a: CandidateSet, xs) -> int:
     """Linear combination a_1 x_1 + ... + a_n x_n of base-field coordinates
     (a base element keeps its index in the extension)."""
-    ai, xi = _indices(ctx, a), _indices(ctx.base, xs)
+    ai, xi = _indices(ctx, a), _in_range(ctx.base, xs)
     if len(ai) != len(xi):
         raise DimensionMismatch(f"{len(ai)} elements vs {len(xi)} coordinates")
     acc = 0

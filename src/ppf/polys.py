@@ -108,8 +108,10 @@ class SparsePoly:
         return out
 
     def scale(self, c) -> "SparsePoly":
-        mul, c = self.ctx.mul, int(c)
-        return SparsePoly(self.ctx, ((e, mul(cf, c)) for e, cf in self.terms))
+        ctx, c = self.ctx, int(c)
+        if not 0 <= c < ctx.order:
+            raise BadParams(f"element index {c} out of range for {ctx}")
+        return SparsePoly(ctx, ((e, ctx.mul(cf, c)) for e, cf in self.terms))
 
     def frobenius_map(self, j: int = 1) -> "SparsePoly":
         """The polynomial inducing x -> f(x)^(q^j): termwise q^j-powering."""

@@ -76,7 +76,7 @@ def test_criterion_1_family_master_sweep(q):
     by_family = {}
     for r in bad:
         by_family[r.family] = by_family.get(r.family, 0) + 1
-    detail = (f"q={q}: {len(result.reports)} instances, "
+    detail = (f"q={q}: {result.instances} instances, "
               f"{result.disagreements} disagreements"
               + (f" (by family {by_family})" if bad else "")
               + f", {time.time() - t0:.1f}s")

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import sys
+import types
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppf import cli
+from ppf import families as fam
 from ppf.cli import main, parse_field_spec
 from ppf.errors import ParseError
 from ppf.families import check_family, field_for_q_squared, params_from_report
@@ -108,21 +112,28 @@ def test_table1_json_deterministic(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_output_written_in_slices_is_unchanged(tmp_path, capsys, monkeypatch, fmt):
-    # long lines are written in slices; the bytes must not depend on the slice size
+    # output goes out in bounded chunks (a text line, or at most
+    # _REPORTS_PER_CHUNK reports); the bytes must not depend on the chunk size
     args = ["--format", fmt, "--seed", "3", "table1", "--q", "4", "--families", "2",
             "--m-max", "2", "--n-max", "2"]
-    whole, sliced = tmp_path / "whole", tmp_path / "sliced"
+    whole = tmp_path / "whole"
     code = main(["--out", str(whole)] + args)
-    monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
-    assert main(["--out", str(sliced)] + args) == code
-    assert sliced.read_bytes() == whole.read_bytes()
     assert main(args) == code
     assert capsys.readouterr().out.encode() == whole.read_bytes()
-    if fmt == "json":
-        data = whole.read_bytes()
-        assert data.endswith(b"}\n") and len(data) > 7
-        assert data == (json.dumps(json.loads(data), sort_keys=True,
-                                   separators=(",", ":")) + "\n").encode()
+    writes = []
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+    monkeypatch.setattr(cli, "_REPORTS_PER_CHUNK", 3)
+    assert main(args) == code
+    data = whole.read_bytes()
+    assert "".join(writes).encode() == data
+    if fmt == "text":
+        assert all(w.count("\n") == 1 and w.endswith("\n") for w in writes)
+        return
+    assert data.endswith(b"}\n") and len(writes) > 3
+    assert data == (json.dumps(json.loads(data), sort_keys=True,
+                               separators=(",", ":")) + "\n").encode()
+    assert all(w.count('{"agree":') <= 3 for w in writes)
+    assert sum(w.count('{"agree":') for w in writes) == len(json.loads(data)["reports"])
 
 
 def test_table1_report_round_trip(tmp_path, capsys):
@@ -162,6 +173,13 @@ def test_dual_basis(capsys):
     assert code == 3 and "NotABasis" in out
     code, out, _ = run(capsys, "--field", "p=2,n=2", "dual-basis", "1", "(0,1)")
     assert code == 0
+
+
+@pytest.mark.parametrize("elems", [("1",), ("1", "(0,1)", "(1,1)")])
+def test_dual_basis_wrong_element_count_is_a_usage_error(capsys, elems):
+    code, out, err = run(capsys, "--field", "p=5,n=2", "dual-basis", *elems)
+    assert code == 1 and not out
+    assert err == f"error: DimensionMismatch: need 2 elements, got {len(elems)}\n"
 
 
 @pytest.mark.parametrize("argv", [("ast-check",), ("psi-check",), ("dual-basis", "1")])
@@ -371,3 +389,107 @@ def test_json_output_pinned(tmp_path, capsys, argv, code, digest):
     assert main(["--seed", seed, "--format", "json", "--out", str(out), *rest]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     capsys.readouterr()
+
+
+# sha256 of `ppf --seed S --format F table1 ...` output, hashed before table1's
+# JSON was streamed from the sweep's columns: both formats, seeds 0/1/3/7,
+# the sampled-eps fields q = 11, 13, 16, inadmissible families (a non-empty
+# errors array), two workers, and the refuted q = 4 and 7 blocks (exit 2).
+PINNED_TABLE1_OUTPUTS = [
+    (("0", "json", "--q", "11", "--m-max", "2", "--n-max", "2"), 0,
+     "d64be6cd0a93932956b34d6ab9536c085102d047b844366e119e1c5597c5e69b"),
+    (("1", "text", "--q", "11", "--m-max", "2", "--n-max", "2"), 0,
+     "f09945a6d16c54557ed31b424c495466c6bd642ed6401b6fa7de3a5529b34de5"),
+    (("1", "json", "--q", "13", "--m-max", "2", "--n-max", "2"), 2,
+     "5979a17d399d87bd9cbca9af10b0365f7740d44c51468520bf8b2057d73f299a"),
+    (("3", "text", "--q", "13", "--m-max", "2", "--n-max", "2"), 2,
+     "791d6e0b407a3bd834680ec798292a447e9c52770d4707c2285763272cf8b8e2"),
+    (("3", "json", "--q", "16", "--families", "1,5,8", "--m-max", "2", "--n-max", "1"), 0,
+     "715d8b52ebe7ef839a335bb22825f26f314bb3823ec521a17443a01c194a6b22"),
+    (("7", "text", "--q", "16", "--families", "1,5,8", "--m-max", "2", "--n-max", "1"), 0,
+     "457e471ec70fb37c64cc18d92a8ce45e59218818688fd64992c40ddc7cd3dbed"),
+    (("7", "json", "--q", "4,7", "--families", "2,3,4,5", "--m-max", "3", "--n-max", "2"), 2,
+     "df3fe6f874700aed52bc631f5e0b3235f2876321f226e95530989c99f31bada6"),
+    (("0", "text", "--q", "4,7", "--families", "2,3,4,5", "--m-max", "3", "--n-max", "2"), 2,
+     "991899b26b7e170dc13b38a2ca43f82ee631507cf1f43186906d4b8f74041cb9"),
+    (("1", "json", "--q", "9,3,2", "--families", "1,2", "--m-max", "2", "--n-max", "2",
+      "--workers", "2"), 0,
+     "754f44a1cc85a63b84fa7e6106440e8aa8705d7fc1da4d2e56c52692597e41b1"),
+    (("3", "text", "--q", "9,3,2", "--families", "1,2", "--m-max", "2", "--n-max", "2",
+      "--workers", "2"), 0,
+     "87fc458a69d2708d218441bac54c8bdfdeec97efc0488d31ec947c3c77e42a13"),
+    (("7", "json", "--q", "5,8", "--m-max", "2", "--n-max", "3", "--workers", "2"), 0,
+     "4e0f9a58b7840887d8cdcdf0fa9be45b7b2f1c17a1c27df8b2526d95a8801a14"),
+    (("0", "json", "--q", "7", "--m-max", "3", "--n-max", "3"), 2,
+     "989b37b7bc0f7d6e6b7a05898a204fb1d0257cf29714598547943ddeb5eade32"),
+    (("3", "text", "--q", "4", "--m-max", "3", "--n-max", "3"), 2,
+     "08fd48193791eee703683db7d36d302a1de84ef40c69e50be8c336aba17420ba"),
+    (("0", "json", "--q", "2,3", "--families", "4,1", "--m-max", "1", "--n-max", "3"), 0,
+     "90e73feaf337d65ad2702da510f645b529439042bbf9e1fbfc68c706b1ab8bdc"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_TABLE1_OUTPUTS,
+                         ids=[f"{a[1]}-q{a[3]}-{i}"
+                              for i, (a, _, _) in enumerate(PINNED_TABLE1_OUTPUTS)])
+def test_table1_output_pinned(tmp_path, capsys, argv, code, digest):
+    seed, fmt, *rest = argv
+    out = tmp_path / "out"
+    assert main(["--seed", seed, "--format", fmt, "--out", str(out), "table1", *rest]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    capsys.readouterr()
+
+
+def _parent_payload(seed, qs, m_max, n_max, result):
+    """table1's payload as a dict, from the materialised reports."""
+    reports = result.reports
+    return {"seed": seed, "q": qs, "m_max": m_max, "n_max": n_max,
+            "instances": len(reports),
+            "disagreements": sum(1 for r in reports if not r.agree),
+            "errors": result.errors, "reports": [r.to_json() for r in reports]}
+
+
+@settings(max_examples=15, deadline=None)
+@given(qs=st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16]), min_size=1,
+                   max_size=2, unique=True),
+       families=st.none() | st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True),
+       m_max=st.integers(1, 3), n_max=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_streamed_table1_json_equals_json_dumps(qs, families, m_max, n_max, seed):
+    # the writer formats reports from the columns; json.dumps of the
+    # materialised reports is the reference
+    real, seen = fam.sweep_families, []
+
+    def sweep(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    argv = ["--seed", str(seed), "--format", "json", "table1", "--q", ",".join(map(str, qs)),
+            "--m-max", str(m_max), "--n-max", str(n_max)]
+    if families:
+        argv += ["--families", ",".join(map(str, families))]
+    writes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fam, "sweep_families", sweep)
+        mp.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+        code = main(argv)
+    payload = _parent_payload(seed, qs, m_max, n_max, seen[0])
+    assert "".join(writes) == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert code == (2 if payload["disagreements"] else 0)
+
+
+@pytest.mark.parametrize("fmt, most", [("json", 0), ("text", 20)])
+def test_table1_builds_reports_only_for_text_lines(capsys, monkeypatch, fmt, most):
+    built = []
+
+    class Counting(fam.AgreementReport):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fam, "AgreementReport", Counting)
+    # 24 disagreements, so the text output lists the first 20
+    code, out, _ = run(capsys, "--format", fmt, "table1", "--q", "7", "--families", "2,3,4",
+                       "--m-max", "4", "--n-max", "4")
+    assert code == 2 and len(built) == most
+    if fmt == "text":
+        assert out.count("disagree: ") == 20

@@ -19,6 +19,7 @@ from ppf.families import (
     BINOMIAL_CAP,
     OMEGA_SPECIAL_TAGS,
     AgreementReport,
+    VariantColumns,
     EpsilonSpec,
     FamilyParams,
     applicable_families,
@@ -235,6 +236,20 @@ def test_workers_clamped_to_cpus_and_blocks(monkeypatch):
     assert RecordingPool.created == [3, 2]
     sweep_families([2], 1, 1, families=[1], seed=0, workers=10 ** 6)
     assert RecordingPool.created == [3, 2]  # one block runs in this process
+
+
+def test_sweep_result_is_columnar():
+    res = sweep_families([4, 5], 2, 3, seed=0)
+    assert all(isinstance(v, VariantColumns) for v in res.variants)
+    assert "reports" not in vars(res)   # reports are built on first use only
+    assert res.instances == len(res.reports) == sum(len(v.m) for v in res.variants)
+    bad = [r for r in res.reports if not r.agree]
+    assert res.disagreements == len(bad) > 0
+    assert [r.to_json() for r in res.disagreeing()] == [r.to_json() for r in bad]
+    for v in res.variants:   # grid order: eps-major, then m, then n
+        assert v.m.tolist() == [1, 1, 1, 2, 2, 2] * len(v.eps)
+        assert v.n.tolist() == [1, 2, 3] * 2 * len(v.eps)
+        assert v.eps_idx.tolist() == [e for e in range(len(v.eps)) for _ in range(6)]
 
 
 def test_import_leaves_multiprocessing_unloaded():

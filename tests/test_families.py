@@ -39,6 +39,7 @@ from ppf.families import (
     params_from_report,
     pentanomial_identity_check,
     sweep_families,
+    VariantColumns,
 )
 from ppf.fields import build_tower
 from ppf.polys import SparsePoly, monomial
@@ -251,6 +252,7 @@ def test_sweep_epsilon_sampling_deterministic():
 def test_sweep_workers_match_serial():
     serial = sweep_families([5], 3, 3, families=[5, 7], seed=0, workers=1)
     parallel = sweep_families([5], 3, 3, families=[5, 7], seed=0, workers=2)
+    assert all(isinstance(v, VariantColumns) for v in parallel.variants)  # workers send columns
     assert [r.to_json() for r in serial.reports] == [r.to_json() for r in parallel.reports]
 
 

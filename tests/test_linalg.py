@@ -159,6 +159,27 @@ def test_element_indices_out_of_range_raise(f25, cand):
         eta(f25, [1, 5], (5, 0))    # coordinates are base-field indices
 
 
+@pytest.mark.parametrize("call", [
+    lambda F: is_linearly_independent(F, [1]),
+    lambda F: is_linearly_independent(F, []),
+    lambda F: Basis(F, [1]),
+    lambda F: dual_basis(F, [1]),
+    lambda F: rho(F, [1], 2),
+    lambda F: rho_inverse(F, [1], [2]),
+    lambda F: eta(F, [1], [2]),
+    lambda F: eta_inverse(F, [1], 2),
+    lambda F: kernel_of_trace_maps(F, [1]),
+    lambda F: rho_table(F, [1]),
+    lambda F: eta_table(F, [1]),
+], ids=["independent", "independent-empty", "Basis", "dual_basis", "rho", "rho_inverse",
+        "eta", "eta_inverse", "kernel", "rho_table", "eta_table"])
+def test_prime_field_is_refused(call):
+    # a prime field has no base to take coordinates over: the entry points
+    # used to end in an AttributeError (or, for eta_table, return a table)
+    with pytest.raises(BadParams, match="needs an extension field, got F_5"):
+        call(build_tower(5))
+
+
 def test_kernel_of_trace_maps(f9):
     assert kernel_of_trace_maps(f9, [1, 3]) == [0]
     assert len(kernel_of_trace_maps(f9, [3, 6])) == 3     # rank 1 -> q
