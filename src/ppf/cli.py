@@ -160,6 +160,8 @@ def cmd_table1(cfg: RunConfig, args) -> int:
     qs = [int(q) for q in args.q.split(",") if q]
     if not qs:
         raise ParseError("empty q list")
+    if args.workers < 1:
+        raise ParseError("workers must be positive")
     families = None
     if args.families:
         families = [int(f) for f in args.families.split(",") if f]

@@ -194,6 +194,14 @@ def _eps_value(ctx: ExtensionField, spec: EpsilonSpec, w: int) -> int:
     return spec.resolve(ctx, w or (ctx.order3_element() if ctx.base.order % 3 else 0))
 
 
+def _eps_columns(ctx: ExtensionField, eps_specs, w: int) -> tuple:
+    """(eps, eps^(q-1)) as index arrays, one entry per spec.  They depend
+    only on the eps grid and omega, so a sweep block computes them once per
+    omega and shares them across its variants."""
+    values = np.array([_eps_value(ctx, s, w) for s in eps_specs], dtype=np.int64)
+    return values, ctx.arr_pow(values, ctx.base.order - 1)
+
+
 def expand_linear_power(ctx: ExtensionField, c: int, d: int, e: int) -> SparsePoly:
     """(c x + d x^q)^e expanded with exact integer binomial coefficients."""
     if e > BINOMIAL_CAP:
@@ -230,14 +238,15 @@ def _effective_family(family: int, even_char: bool) -> int:
 def ns_condition(ctx: ExtensionField, p: FamilyParams) -> bool:
     """The family's tabulated permutation condition (see module docstring)."""
     validate_params(ctx, p)
-    eps = _eps_value(ctx, p.epsilon, _branches(ctx, p)[2])
-    return bool(_conditions(ctx, p, [p.epsilon], [eps], [p.m], [p.n])[0, 0, 0])
+    _, eps_pow = _eps_columns(ctx, [p.epsilon], _branches(ctx, p)[2])
+    return bool(_conditions(ctx, p, [p.epsilon], eps_pow, [p.m], [p.n])[0, 0, 0])
 
 
-def _conditions(ctx: ExtensionField, p: FamilyParams, eps_specs, eps_values,
+def _conditions(ctx: ExtensionField, p: FamilyParams, eps_specs, eps_pow,
                 ms, ns) -> np.ndarray:
     """The tabulated condition over the eps x m x n grid of p's variant (p's
     own m, n and eps are ignored), shape (len(eps_specs), len(ms), len(ns)).
+    eps_pow holds eps^(q-1) per spec (_eps_columns); only family 1 reads it.
 
     Exponents stay Python integers until they are reduced, so any m, n is exact.
     """
@@ -247,8 +256,8 @@ def _conditions(ctx: ExtensionField, p: FamilyParams, eps_specs, eps_values,
     fam = _effective_family(p.family, ctx.p == 2)
     if fam == 1:
         (_, alpha), (_, beta), _ = _branches(ctx, p)
-        lhs = np.array([[ctx.mul(ctx.pow(eps, q - 1), ctx.pow(alpha, m)) for m in ms]
-                        for eps in eps_values])
+        alpha_m = np.array([ctx.pow(alpha, m) for m in ms], dtype=np.int64)
+        lhs = ctx.arr_mul(eps_pow[:, None], alpha_m[None, :])
         rhs = np.array([ctx.pow(beta, n) for n in ns])
         return grid & (lhs[:, :, None] != rhs)
     if fam == 3:
@@ -371,22 +380,23 @@ def _decide(values: np.ndarray, fmt, names: dict) -> tuple:
 
 
 def _variant_columns(ctx: ExtensionField, p: FamilyParams, eps_specs, ms, ns,
-                     grid: tuple, fmt, summands, names: dict) -> VariantColumns:
+                     grid: tuple, fmt, summands, eps_of, names: dict) -> VariantColumns:
     """Columns for the eps x m x n grid of p's variant (family, alpha/beta,
     omega choice, sign; p's own m, n and eps are ignored).
 
     Instance (eps, m, n) is the row first[m] + eps * second[n] of one 2-D
     table array, built and decided CHUNK_VALUES table entries at a time.
-    grid is _grid(len(eps_specs), ms, ns); fmt formats element indices and
+    grid is _grid(len(eps_specs), ms, ns); fmt formats element indices,
     summands(c, d, exponents) builds summand tables (_summand_tables over
-    ctx; sweeps pass per-block memos of both and one names dict per block).
+    ctx) and eps_of(omega) gives _eps_columns over eps_specs; sweeps pass
+    per-block memos of all three and one names dict per block.
     """
     (c1, d1), (c2, d2), w = _branches(ctx, p)
-    eps_values = [_eps_value(ctx, s, w) for s in eps_specs]
+    eps_values, eps_pow = eps_of(w)
     first = summands(c1, d1, ms)
     second = summands(c2, d2, ns)
-    predicted = _conditions(ctx, p, eps_specs, eps_values, ms, ns).ravel()
-    eps_col = np.array(eps_values)[:, None]
+    predicted = _conditions(ctx, p, eps_specs, eps_pow, ms, ns).ravel()
+    eps_col = eps_values[:, None]
     M, N = len(ms), len(ns)
     step = max(1, CHUNK_VALUES // ctx.order)
     chunks = []
@@ -398,7 +408,7 @@ def _variant_columns(ctx: ExtensionField, p: FamilyParams, eps_specs, ms, ns,
     oracle, x1, x2 = (np.concatenate(c) for c in zip(*chunks))
     head = (p.family, p.q, fmt(d1), fmt(d2), fmt(w) if w else "",
             "-" if p.sign < 0 else "+")
-    eps = [(s.tag, fmt(v)) for s, v in zip(eps_specs, eps_values)]
+    eps = [(s.tag, fmt(v)) for s, v in zip(eps_specs, eps_values.tolist())]
     return VariantColumns(head, eps, names, *grid, predicted, oracle, x1, x2)
 
 
@@ -407,7 +417,8 @@ def check_family(ctx: ExtensionField, p: FamilyParams) -> AgreementReport:
     1 x 1 x 1 grid, with the expansion checked against direct evaluation."""
     validate_params(ctx, p)
     cols = _variant_columns(ctx, p, [p.epsilon], [p.m], [p.n], _grid(1, [p.m], [p.n]),
-                            ctx.format_idx, functools.partial(_summand_tables, ctx), {})
+                            ctx.format_idx, functools.partial(_summand_tables, ctx),
+                            functools.partial(_eps_columns, ctx, [p.epsilon]), {})
     return next(_agreement_reports(cols, slice(None)))
 
 
@@ -483,8 +494,9 @@ def _sweep_variants(family: int, q: int, eps0: EpsilonSpec) -> list:
 def _run_block(args) -> list:
     """One (q, family) sweep block: VariantColumns for each variant's
     eps x m x n grid.  Element strings are formatted, summand tables built
-    (family 1's first form depends only on alpha, its second only on beta)
-    and the grid columns made once per block."""
+    (family 1's first form depends only on alpha, its second only on beta),
+    the eps columns resolved (once per omega) and the grid columns made once
+    per block."""
     q, family, m_max, n_max, seed, cap = args
     ctx = field_for_q_squared(q, cap=cap)
     rng = random.Random(seed * 1_000_003 + q * 1009 + family)
@@ -493,8 +505,10 @@ def _run_block(args) -> list:
     grid = _grid(len(eps_list), ms, ns)
     fmt = functools.cache(ctx.format_idx)
     summands = functools.cache(functools.partial(_summand_tables, ctx))
+    eps_of = functools.cache(functools.partial(_eps_columns, ctx, eps_list))
     names = {}
-    return [_variant_columns(ctx, variant, eps_list, ms, ns, grid, fmt, summands, names)
+    return [_variant_columns(ctx, variant, eps_list, ms, ns, grid, fmt, summands, eps_of,
+                             names)
             for variant in _sweep_variants(family, q, eps_list[0])]
 
 

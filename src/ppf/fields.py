@@ -320,6 +320,22 @@ class FieldCtx:
         out = self._exp_np[(self._log_np[u] * (e % (self.order - 1))) % (self.order - 1)]
         return np.where(u == 0, 0, out)
 
+    def monomial_table(self, e: int, c: int):
+        """Table of x -> c x^e (e >= 1, c != 0) over the canonical enumeration.
+
+        One exp gather of log c + e log x: the log table is the log of the
+        enumeration itself, and entry 0 (log -1) is set to 0 afterwards.  e is
+        reduced as a Python int first, so e log x stays below (Q-1)^2, far
+        inside int64 under the cap, for any e.
+        """
+        n = self.order - 1
+        logs = self._log_np * (e % n)
+        logs += self._log[c]
+        logs -= logs // n * n   # logs % n, but cheaper than % on int64 arrays
+        out = self._exp_np[logs]
+        out[0] = 0
+        return out
+
     def arr_sum(self, u) -> int:
         """Sum of all entries (digitwise: per digit the entries' sum mod p)."""
         p = self.p
@@ -617,7 +633,9 @@ def build_extension(base: FieldCtx, d: int, modulus=None,
     """Degree-d extension of `base`.
 
     Without an explicit modulus the lexicographically smallest monic
-    irreducible of degree d is used, so the construction is reproducible.
+    irreducible of degree d is used, so the construction is reproducible;
+    that context is also cached under modulus None, so a repeat build skips
+    the search.
     """
     cap = DEFAULT_CAP if cap is None else cap
     if d < 2:
@@ -625,7 +643,11 @@ def build_extension(base: FieldCtx, d: int, modulus=None,
     # b^d >= 2^d: reject huge d before computing the power
     if d > cap.bit_length() or base.order ** d > cap:
         raise TooLarge(f"order {base.order}^{d} exceeds cap {cap}")
-    if modulus is None:
+    default_key = (id(base), d, None)
+    searched = modulus is None
+    if searched:
+        if default_key in _ext_cache:
+            return _ext_cache[default_key]
         modulus = find_irreducible(base, d)
     else:
         modulus = tuple(int(c) for c in modulus)
@@ -640,6 +662,8 @@ def build_extension(base: FieldCtx, d: int, modulus=None,
         ctx = ExtensionField(base, d, modulus)
         ctx.ensure_tables()
         _ext_cache[key] = ctx
+    if searched:
+        _ext_cache[default_key] = _ext_cache[key]
     return _ext_cache[key]
 
 

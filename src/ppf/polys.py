@@ -59,10 +59,6 @@ class SparsePoly:
     def degree(self) -> int:
         return self.terms[-1][0] if self.terms else -1
 
-    @property
-    def is_reduced(self) -> bool:
-        return all(e <= self.ctx.order - 1 for e, _ in self.terms)
-
     def reduce(self) -> "SparsePoly":
         q = self.ctx.order
         return SparsePoly(self.ctx, ((reduce_exponent(e, q), c) for e, c in self.terms))
@@ -130,19 +126,18 @@ class SparsePoly:
         return acc
 
     def to_table(self) -> "FnTable":
-        """Evaluate at every field element, in canonical enumeration order."""
-        ctx = self.ctx
-        xs = ctx.all_indices()
-        acc = np.zeros(ctx.order, dtype=np.int64)
+        """Evaluate at every field element, in canonical enumeration order:
+        one exp gather per nonconstant term, summed digitwise."""
+        ctx, acc = self.ctx, None
         for e, c in self.terms:
             if e == 0:
                 term = np.full(ctx.order, c, dtype=np.int64)
             else:
-                term = ctx.arr_scale(ctx.arr_pow(xs, e), c)
-            acc = ctx.arr_add(acc, term)
-        return FnTable(ctx, acc)
+                term = ctx.monomial_table(e, c)
+            acc = term if acc is None else ctx.arr_add(acc, term)
+        return FnTable(ctx, np.zeros(ctx.order, dtype=np.int64) if acc is None else acc)
 
-    # -- text / JSON forms -------------------------------------------------------
+    # -- text form and equality ------------------------------------------------
 
     def __str__(self):
         if not self.terms:
@@ -166,13 +161,6 @@ class SparsePoly:
 
     def __hash__(self):
         return hash((id(self.ctx), self.terms))
-
-    def to_json_terms(self) -> list:
-        return [{"e": e, "c": list(self.ctx.decode(c))} for e, c in self.terms]
-
-    @classmethod
-    def from_json_terms(cls, ctx: FieldCtx, items) -> "SparsePoly":
-        return cls(ctx, ((t["e"], ctx.encode(list(t["c"]))) for t in items))
 
     @classmethod
     def parse(cls, ctx: FieldCtx, text: str) -> "SparsePoly":

@@ -293,6 +293,15 @@ def test_mu_index_out_of_range_is_a_usage_error(capsys, argv):
     assert code == 1 and "BadParams" in err and not out
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_table1_workers_below_one_is_a_usage_error(capsys, deadline, workers):
+    with deadline(1.0):
+        code, out, err = run(capsys, "table1", "--q", "5", "--m-max", "1", "--n-max", "1",
+                             "--workers", workers)
+    assert code == 1 and not out
+    assert err == "error: ParseError: workers must be positive\n"
+
+
 # sha256 of `ppf --seed S --format json ...` output, with the expected exit
 # code.  For a fixed seed the JSON output is byte-identical across internal
 # changes: verdicts, witnesses and every other byte.
@@ -377,6 +386,23 @@ PINNED_OUTPUTS = [
     (("7", "pentanomial", "--q", "8", "--Q", "1", "--R", "8", "--S", "2",
       "--variant", "twisted", "--omega", "1", "--alpha-idx", "7"), 0,
      "76c34756a2099fb0c570a6f81b8147822f96a26e165a25d2c577a5f2da597786"),
+    # verify near the cap and on a prime field: constant terms, exponents
+    # above 2^63 (reduced mod Q - 1 before any array product) and the zero
+    # polynomial, pinned before tables were built in the log domain
+    (("0", "--field", "p=1021,n=2", "verify", "5 + (a7)*x^3 + x^1021"), 3,
+     "d447ee65a61a84a164190d17cc9b2a825304b23c06ae3981900ebcbb8a64cd70"),
+    (("7", "--field", "p=1021,n=2", "verify", "(a11)*x^18338798420141015051 + 5"), 0,
+     "9bec0fc1cb9de71fa470cffa928ae0e0698c1df2d1b30b7349a8abc9e134a85e"),
+    (("0", "--field", "p=2,k=8,n=2", "verify", "x^9223372036854775809 + (a3)*x^5 + 1"), 3,
+     "88d4e874d20270fcdad3c502da466853339511e548f2b94ecb9bee739239c750"),
+    (("7", "--field", "p=2,k=8,n=2", "verify", "(a9)*x^18446744073709551617"), 0,
+     "6a4f7e54f97c2b5656f3a78bf67b4dee3992e028ad855527de0c04842079b5a2"),
+    (("0", "--field", "p=1000003", "verify", "3*x^17592221228788088837 + 2"), 0,
+     "868e6094dfd0f030ccab78e4f0dc8a73f56e3f7324500ec101a2a40275124817"),
+    (("0", "--field", "p=1000003", "verify", "3*x^5 + x^18446744073709551621 + 2"), 3,
+     "b48f6eb4d39bc753d0301e1f71f512f3ebd64ed7e9a515b542098f2a87474436"),
+    (("7", "--field", "p=1000003", "verify", "0"), 3,
+     "e417aeeb63df2f3766d593228607080c65a33872216cc3e00696a04abceef7fe"),
 ]
 
 

@@ -356,6 +356,18 @@ def test_cap_tower_builds_in_bounded_time(deadline, monkeypatch):
     assert np.array_equal(nxt, exp[(i + 1) % n])
 
 
+def test_a_repeat_build_skips_the_modulus_search(deadline, monkeypatch):
+    ctx = build_tower(2, k=10, n=2)
+    calls = []
+    real = fields.is_irreducible
+    monkeypatch.setattr(fields, "is_irreducible", lambda *a: calls.append(a) or real(*a))
+    with deadline(1.0):
+        again = build_tower(2, k=10, n=2)
+    assert again is ctx and calls == []
+    # the default-modulus context is the one cached under its modulus
+    assert fields.build_extension(ctx.base, 2, modulus=ctx.modulus) is ctx
+
+
 def test_tables_are_built_with_the_context(f25):
     assert f25._exp_np is not None and f25._log_np is not None
     assert f25._exp[3] == f25._exp_np[3] and type(f25._exp[3]) is int

@@ -193,3 +193,49 @@ def test_random_tower_interpolation_inverts_tabulation(data):
                                          st.integers(0, ctx.order - 1)), max_size=4))
     poly = SparsePoly(ctx, terms)
     assert interpolate(poly.to_table()).terms == poly.reduce().terms
+
+
+# F_2, F_7, F_4, F_9, F_16, F_25, F_27 and F_64 = (F_8)^2
+TABULATION_FIELDS = [(2, 1, None), (7, 1, None), (2, 1, 2), (3, 1, 2), (2, 2, 2),
+                     (5, 1, 2), (3, 1, 3), (2, 3, 2)]
+
+
+def _stress_exponents(order):
+    """0, 1, Q - 1, Q, multiples k(Q - 1) and their neighbours (k up to
+    2^70, so well past 2^63), values from 2^63 up, and small ones."""
+    n = order - 1
+    return st.one_of(
+        st.sampled_from([0, 1, n, order, 2 * n, 2 ** 63, 2 ** 63 + 1, 2 ** 64 + 1]),
+        st.builds(lambda k, r: k * n + r, st.integers(1, 2 ** 70), st.integers(0, 2)),
+        st.integers(2 ** 63, 2 ** 80),
+        st.integers(0, 3 * order))
+
+
+@pytest.mark.parametrize("spec", TABULATION_FIELDS, ids=_tower_id)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tabulation_matches_scalar_evaluation(spec, data):
+    p, k, n = spec
+    ctx = build_tower(p, k=k, n=n)
+    coefs = st.integers(0, ctx.order - 1)
+    terms = data.draw(st.lists(st.tuples(_stress_exponents(ctx.order), coefs), max_size=5))
+    if terms:  # a second term whose exponent reduces to the same value
+        e = max(1, terms[data.draw(st.integers(0, len(terms) - 1))][0])
+        j = data.draw(st.sampled_from([1, 2, 2 ** 64]))
+        terms.append((e + j * (ctx.order - 1), data.draw(coefs)))
+    poly = SparsePoly(ctx, terms)
+    scalar = [poly.eval(x) for x in range(ctx.order)]
+    assert poly.to_table().values.tolist() == scalar
+    for e, c in poly.terms:
+        if e:
+            assert (ctx.monomial_table(e, c).tolist()
+                    == [ctx.mul(c, ctx.pow(x, e)) for x in range(ctx.order)])
+    # second reference: the scale-of-power sum that tabulation used before,
+    # started from zeros
+    xs, ref = ctx.all_indices(), np.zeros(ctx.order, dtype=np.int64)
+    for e, c in poly.terms:
+        term = (np.full(ctx.order, c, dtype=np.int64) if e == 0
+                else ctx.arr_scale(ctx.arr_pow(xs, e), c))
+        ref = ctx.arr_add(ref, term)
+    assert ref.tolist() == scalar
+    assert SparsePoly(ctx).to_table().values.tolist() == [0] * ctx.order
