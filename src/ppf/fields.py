@@ -16,17 +16,22 @@ converts between an index and its coordinates, and also packs the vectors
 of F_q^n.
 
 Every context is built with its discrete log/exp tables (int64 arrays)
-before it is handed out.  Construction needs no tables of its own: the
-modulus comes from Rabin's irreducibility test in scalar base arithmetic,
-and the canonical generator and the exp table from a structural array
-multiply (coordinate convolution over the base, then reduction by the
-modulus), so a tower of low-degree steps builds in well under a second up
-to the 2^20 cap.  After
-that, scalar multiplication, powers, inverses and element orders are table
-lookups, and bulk operations on numpy arrays of indices (`arr_*` methods),
-which the permutation-sweep machinery runs on, work on the base-p digits of
-the whole tower (addition, negation, summation) or on the tables
-(multiplication, powering).
+before it is handed out, and an extension of odd characteristic also with
+its Zech logarithms Z[d] = log(1 + g^d), an int32 table of Q - 1 entries
+(4 bytes per element, 4 MB at F_{1021^2}).  Construction needs no tables
+of its own: the modulus comes from Rabin's irreducibility test in scalar
+base arithmetic, and the canonical generator and the exp table from a
+structural array multiply (coordinate convolution over the base, then
+reduction by the modulus), so a tower of low-degree steps builds in well
+under a second up to the 2^20 cap.  After that, scalar multiplication,
+powers, inverses and element orders are table lookups; scalar addition and
+negation, and the bulk operations on numpy arrays of indices (`arr_*`
+methods) which the permutation-sweep machinery runs on, work on the base-p
+digits of the whole tower (addition, negation, summation) or on the tables
+(multiplication, powering).  A polynomial's table (`polynomial_table`) is
+one exp gather per term summed by `arr_add` at p = 2 (XOR) and over prime
+fields; over an odd-p extension the terms are summed as logarithms through
+the Zech table (Huber 1990), with one exp gather at the end.
 """
 
 from __future__ import annotations
@@ -81,8 +86,8 @@ def factorize(n: int) -> dict:
 
 
 def _digitwise_add(u, v, p: int, order: int):
-    """Digitwise sum mod p of index arrays whose entries are base-p digit
-    strings below `order` (field elements, or packed vectors of F_q^n).
+    """Digitwise sum mod p of ints or index arrays whose entries are base-p
+    digit strings below `order` (field elements, or packed vectors of F_q^n).
 
     Digit i of u + v is (u // p^i + v // p^i) mod p: the higher digits of each
     quotient are multiples of p.
@@ -93,6 +98,19 @@ def _digitwise_add(u, v, p: int, order: int):
     while w < order:
         u, v = u // p, v // p
         out += (u + v) % p * w
+        w *= p
+    return out
+
+
+def _digitwise_neg(u, p: int, order: int):
+    """Digitwise negation mod p, on an int or an index array, like
+    `_digitwise_add`; u itself at p = 2."""
+    if p == 2:
+        return u
+    out, w = (-u) % p, p
+    while w < order:
+        u = u // p
+        out += (-u) % p * w
         w *= p
     return out
 
@@ -135,6 +153,9 @@ class FieldCtx:
         self._log_np = None   # log[x] = i with g^i = x; log[0] = -1
         self._exp = None      # zero-copy memoryviews of the two arrays,
         self._log = None      # for scalar lookups that yield Python ints
+        self._exp_code_np = None  # exp over the log codes: _exp_np plus a
+                                  # trailing 0 at the zero code order-1
+        self._zech_np = None  # odd-p extensions: Zech logarithms (int32)
         self._frob_np = None
 
     # -- representation ------------------------------------------------
@@ -237,12 +258,22 @@ class FieldCtx:
         return pw[:count]
 
     def ensure_tables(self):
-        """Build the discrete log/exp tables (done at construction).
+        """Build the discrete log/exp tables (done at construction), and at
+        odd p over an extension the Zech logarithms.
 
         exp is filled blockwise: with m = ceil(sqrt(order-1)) small powers
         g^j and the block starts G^k, G = g^m, one structural multiply of
-        the outer product gives g^(km+j).  log is one scatter.  Raises
-        ArithmeticError unless exp is a permutation of 1..order-1.
+        the outer product gives g^(km+j); it has at least order entries, and
+        the one past the units becomes the image 0 of the zero code.  log is
+        one scatter.  Raises ArithmeticError unless exp is a permutation of
+        1..order-1.
+
+        The Zech table is Z[d] = log(1 + g^d) for d in [0, order-1), built
+        as Z[log x] = log(x + 1) over the units x in index order: adding 1
+        changes only the lowest base-p digit of an index, so x + 1 is
+        x + 1 - p where that digit is p-1.  At d = (order-1)/2, where
+        g^d = -1, it holds the zero code order-1.  int32 halves its memory
+        (4 MB at F_{1021^2}).
         """
         if self._exp is not None:
             return
@@ -250,15 +281,25 @@ class FieldCtx:
         m = math.isqrt(n - 1) + 1
         small = self._powers(g, m)                                  # g^j, j < m
         g_m = self._arr_mul_structural(small[-1:], np.array([g], dtype=np.int64))
-        starts = self._powers(int(g_m[0]), -(-n // m))              # g^(km)
-        exp = self._arr_mul_structural(starts[:, None], small[None, :]).ravel()[:n]
+        starts = self._powers(int(g_m[0]), n // m + 1)              # g^(km)
+        exp_code = self._arr_mul_structural(starts[:, None], small[None, :]).ravel()[:n + 1]
+        exp_code[n] = 0
+        exp = exp_code[:n]
         log = np.full(self.order, -1, dtype=np.int64)
         log[exp] = np.arange(n, dtype=np.int64)
         if log[0] != -1 or (log[1:] < 0).any():
             raise ArithmeticError(f"powers of {self.format_idx(g)} in {self} "
                                   "are not a permutation of the units")
-        self._exp_np, self._log_np = exp, log
+        self._exp_np, self._log_np, self._exp_code_np = exp, log, exp_code
         self._exp, self._log = memoryview(exp), memoryview(log)
+        if self.p > 2 and self.base is not None:
+            p = self.p
+            succ = np.arange(2, self.order + 1, dtype=np.int64)    # x + 1, x = 1..n
+            succ[p - 2::p] -= p
+            zech = np.empty(n, dtype=np.int32)
+            zech[log[1:]] = log[succ]
+            zech[n // 2] = n
+            self._zech_np = zech
 
     def subgroup_mu(self, d: int) -> list:
         """The d-th roots of unity, as powers g^((order-1)/d * j), j = 0..d-1."""
@@ -286,15 +327,7 @@ class FieldCtx:
         return _digitwise_add(u, v, self.p, self.order)
 
     def arr_neg(self, u):
-        p = self.p
-        if p == 2:
-            return np.copy(u)
-        out, w = (-u) % p, p
-        while w < self.order:
-            u = u // p
-            out += (-u) % p * w
-            w *= p
-        return out
+        return np.copy(u) if self.p == 2 else _digitwise_neg(u, self.p, self.order)
 
     def arr_sub(self, u, v):
         return self.arr_add(u, self.arr_neg(v))
@@ -320,20 +353,70 @@ class FieldCtx:
         out = self._exp_np[(self._log_np[u] * (e % (self.order - 1))) % (self.order - 1)]
         return np.where(u == 0, 0, out)
 
-    def monomial_table(self, e: int, c: int):
-        """Table of x -> c x^e (e >= 1, c != 0) over the canonical enumeration.
+    def _monomial_logs(self, e: int, c: int, plus=None):
+        """log c + e log x (+ plus) mod (Q-1) at every index x, as an int64
+        array; entry 0 is meaningless (log 0 = -1).
 
-        One exp gather of log c + e log x: the log table is the log of the
-        enumeration itself, and entry 0 (log -1) is set to 0 afterwards.  e is
-        reduced as a Python int first, so e log x stays below (Q-1)^2, far
-        inside int64 under the cap, for any e.
+        The log table is the log of the enumeration itself.  e is reduced as
+        a Python int first, so e log x stays below (Q-1)^2, far inside int64
+        under the cap, for any e (negative e included).
         """
         n = self.order - 1
         logs = self._log_np * (e % n)
         logs += self._log[c]
+        if plus is not None:
+            logs += plus
         logs -= logs // n * n   # logs % n, but cheaper than % on int64 arrays
-        out = self._exp_np[logs]
+        return logs
+
+    def monomial_table(self, e: int, c: int):
+        """Table of x -> c x^e (e >= 1, c != 0) over the canonical enumeration:
+        one exp gather of log c + e log x, entry 0 set to 0 afterwards."""
+        out = self._exp_np[self._monomial_logs(e, c)]
         out[0] = 0
+        return out
+
+    def polynomial_table(self, terms):
+        """Table of x -> sum of c x^e over the canonical enumeration, for
+        (e, c) terms with distinct exponents, c != 0, sorted by e.
+
+        Without a Zech table (p = 2, or a prime field) the terms are
+        gathered by `monomial_table` and summed by `arr_add`, which is XOR
+        at p = 2.  Otherwise the sum stays in the log domain.  With
+        T_i = c_i x^(e_i) and r_i = T_(i+1)/T_i, a monomial of log
+        log(c_(i+1)/c_i) + (e_(i+1) - e_i) log x,
+
+            sum T_i = T_1 (1 + r_1 (1 + r_2 (... (1 + r_(k-1))))),
+
+        and log(1 + y) = Z[log y] is one Zech lookup, from the innermost
+        bracket out.  Where a bracket vanishes its log is the zero code
+        Q-1, and the next bracket out is 1; where the whole sum vanishes the
+        final gather maps the zero code to 0.  Each further term costs its
+        monomial's logs and one Zech gather, and the table one exp gather.
+        Entry 0 is the constant term.
+        """
+        if not terms:
+            return np.zeros(self.order, dtype=np.int64)
+        if self._zech_np is None:
+            acc = None
+            for e, c in terms:
+                term = (np.full(self.order, c, dtype=np.int64) if e == 0
+                        else self.monomial_table(e, c))
+                acc = term if acc is None else self.arr_add(acc, term)
+            return acc
+        n, zech = self.order - 1, self._zech_np
+        inner = zeros = None  # log of the bracket so far; where it is 0
+        for (e, c), (e1, c1) in reversed(list(zip(terms, terms[1:]))):
+            inner = zech[self._monomial_logs(e1 - e, self.div(c1, c), inner)]
+            if zeros is not None:
+                inner[zeros] = 0
+            zeros = np.flatnonzero(inner == n)
+        e, c = terms[0]
+        logs = self._monomial_logs(e, c, inner)
+        if zeros is not None:
+            logs[zeros] = n
+        out = self._exp_code_np[logs]
+        out[0] = c if e == 0 else 0
         return out
 
     def arr_sum(self, u) -> int:
@@ -437,13 +520,10 @@ class ExtensionField(FieldCtx):
     # -- scalar arithmetic -------------------------------------------------
 
     def add(self, a, b):
-        q, d, badd = self.base.order, self.degree, self.base.add
-        return _from_digits([badd(x, y) for x, y in
-                             zip(_to_digits(a, q, d), _to_digits(b, q, d))], q)
+        return _digitwise_add(a, b, self.p, self.order)
 
     def neg(self, a):
-        q, bneg = self.base.order, self.base.neg
-        return _from_digits([bneg(x) for x in _to_digits(a, q, self.degree)], q)
+        return _digitwise_neg(a, self.p, self.order)
 
     def _arr_mul_structural(self, u, v):
         """Elementwise product of index arrays (broadcasting) without this

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fields import ExtensionField, FieldCtx, _digitwise_add, _from_digits, _to_digits
 from .linalg import CandidateSet, _indices, eta_table, dual_basis, rho_table
-from .polys import (FnTable, SparsePoly, _own_table, _row_counts, compose_univariate,
+from .polys import (FnTable, SparsePoly, _first_collision, _own_table, compose_univariate,
                     trace_poly)
 
 
@@ -76,7 +76,7 @@ class VectorMap:
             raise CtxMismatch("vector maps over different spaces")
 
     def is_permutation(self) -> bool:
-        return int(_row_counts(self.table[None, :]).max()) == 1
+        return _first_collision(self.table) is None
 
     def compose(self, other: "VectorMap") -> "VectorMap":
         """self after other."""

@@ -10,7 +10,8 @@ enumeration.  Bijectivity is decided by exhaustive counting, which at desk
 scale doubles as the independent oracle for every algebraic condition in
 the family modules: one row-wise count (`_row_counts`) gives every verdict,
 for single tables and vector-space maps as for the sweep's 2-D table
-arrays, and `first_collisions` reads each witness off the same counts.
+arrays, and the witness comes off the same count (`_first_collision` for
+one table, `first_collisions` row-wise).
 """
 
 from __future__ import annotations
@@ -126,16 +127,10 @@ class SparsePoly:
         return acc
 
     def to_table(self) -> "FnTable":
-        """Evaluate at every field element, in canonical enumeration order:
-        one exp gather per nonconstant term, summed digitwise."""
-        ctx, acc = self.ctx, None
-        for e, c in self.terms:
-            if e == 0:
-                term = np.full(ctx.order, c, dtype=np.int64)
-            else:
-                term = ctx.monomial_table(e, c)
-            acc = term if acc is None else ctx.arr_add(acc, term)
-        return FnTable(ctx, np.zeros(ctx.order, dtype=np.int64) if acc is None else acc)
+        """Evaluate at every field element, in canonical enumeration order
+        (see `FieldCtx.polynomial_table`: exp gathers summed digitwise, or
+        at odd p over an extension a Zech-logarithm sum and one gather)."""
+        return FnTable(self.ctx, self.ctx.polynomial_table(self.terms))
 
     # -- text form and equality ------------------------------------------------
 
@@ -190,14 +185,27 @@ def trace_poly(p: SparsePoly) -> SparsePoly:
     return out
 
 
-class FnTable:
-    """The induced map of a polynomial (or any self-map), as an index array."""
+_UNCOUNTED = object()
 
-    __slots__ = ("ctx", "values")
+
+class FnTable:
+    """The induced map of a polynomial (or any self-map), as an index array.
+
+    The first of `is_permutation` and `first_collision` counts the table
+    once, and both answers are kept: the values are read-only.
+    """
+
+    __slots__ = ("ctx", "values", "_collision")
 
     def __init__(self, ctx: FieldCtx, values):
         self.ctx = ctx
         self.values = _own_table(values, ctx.order, BadParams)
+        self._collision = _UNCOUNTED
+
+    def _count(self):
+        if self._collision is _UNCOUNTED:
+            self._collision = _first_collision(self.values)
+        return self._collision
 
     @classmethod
     def identity(cls, ctx: FieldCtx) -> "FnTable":
@@ -214,12 +222,12 @@ class FnTable:
         return hash((id(self.ctx), self.values.tobytes()))
 
     def is_permutation(self) -> bool:
-        return int(_row_counts(self.values[None, :]).max()) == 1
+        return self._count() is None
 
     def first_collision(self):
-        """Some pair (x1, x2), x1 < x2, with equal images; None if bijective."""
-        hit, x1, x2 = first_collisions(self.values[None, :])
-        return (int(x1[0]), int(x2[0])) if hit[0] else None
+        """The first two positions x1 < x2 of the smallest repeated value,
+        as `first_collisions` gives them; None if bijective."""
+        return self._count()
 
     def compose(self, other: "FnTable") -> "FnTable":
         """self after other: x -> self(other(x))."""
@@ -270,6 +278,19 @@ def _row_counts(rows: np.ndarray) -> np.ndarray:
     if r > 1:
         rows = rows + np.arange(0, r * n, n)[:, None]
     return np.bincount(rows.ravel(), minlength=r * n).reshape(r, n)
+
+
+def _first_collision(values: np.ndarray):
+    """One count of a 1-D index array of length n with entries in [0, n)
+    (checked by its owner): None if it is a bijection, else the first two
+    positions x1 < x2 of its smallest repeated value, as `first_collisions`
+    gives them."""
+    counts = _row_counts(values[None, :])[0]
+    if counts.max() <= 1:
+        return None
+    at = values == (counts > 1).argmax()
+    x1 = int(at.argmax())
+    return x1, x1 + 1 + int(at[x1 + 1:].argmax())
 
 
 def first_collisions(rows: np.ndarray):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 import time
 
 import numpy as np
@@ -373,6 +374,45 @@ def test_tables_are_built_with_the_context(f25):
     assert f25._exp[3] == f25._exp_np[3] and type(f25._exp[3]) is int
     assert f25.inv(f25._exp[5]) == f25._exp[19]
     assert [f25.element_order(x) for x in (1, f25.neg(1), f25.generator)] == [1, 2, 24]
+
+
+def _zech_reference(ctx, ds):
+    """Z[d] = log(1 + g^d) by scalar addition and the log table; the zero
+    code Q-1 where the sum is 0."""
+    n, one_plus = ctx.order - 1, (ctx.add(1, ctx._exp[d]) for d in ds)
+    return [ctx._log[s] if s else n for s in one_plus]
+
+
+@pytest.mark.parametrize("spec", [s for s in PINNED if s[0] > 2 and s[1:] != (1, None)],
+                         ids=str)
+def test_zech_table_matches_its_definition(spec):
+    p, k, n = spec
+    ctx = build_tower(p, k=k, n=n)
+    zech, units = ctx._zech_np, ctx.order - 1
+    assert zech.dtype == np.int32 and zech.shape == (units,)
+    assert np.flatnonzero(zech == units).tolist() == [units // 2]
+    if ctx.order <= 1 << 16:
+        ds = range(units)
+    else:  # a seeded sample, and the zero code's neighbours
+        rng = random.Random(0)
+        ds = [rng.randrange(units) for _ in range(4096)] + [units // 2 - 1, units // 2,
+                                                            units // 2 + 1]
+    assert zech[list(ds)].tolist() == _zech_reference(ctx, ds)
+
+
+@pytest.mark.parametrize("spec", [(2, 2, 2), (2, 8, 2), (7, 1, None), (1021, 1, None)],
+                         ids=str)
+def test_only_odd_extensions_have_a_zech_table(spec):
+    p, k, n = spec
+    assert build_tower(p, k=k, n=n)._zech_np is None
+
+
+def test_exp_over_the_log_codes_shares_the_exp_table(f25, f16):
+    for ctx in (f25, f16):
+        codes, n = ctx._exp_code_np, ctx.order - 1
+        assert codes.shape == (ctx.order,) and codes[n] == 0
+        assert np.shares_memory(codes, ctx._exp_np) and ctx._exp_np.shape == (n,)
+        assert np.array_equal(codes[:n], ctx._exp_np)
 
 
 def test_a_reducible_modulus_is_caught_by_the_table_check(f2):

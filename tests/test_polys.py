@@ -7,6 +7,7 @@ import pytest
 
 from ppf.errors import BadParams, NotPermutation, ParseError
 from ppf.fields import build_tower
+from ppf.maps import VectorMap
 from ppf.polys import (
     FnTable,
     SparsePoly,
@@ -108,6 +109,26 @@ def test_is_permutation(f4):
     assert set(cube.values[1:]) == {1}
     collision = cube.first_collision()
     assert collision is not None and cube[collision[0]] == cube[collision[1]]
+
+
+@pytest.mark.parametrize("spec, terms, permutes", [
+    ((2, 2, 2), [(7, 1)], True), ((2, 2, 2), [(3, 1)], False),
+    ((5, 1, 2), [(5, 1)], True), ((5, 1, 2), [(4, 1), (1, 1)], False),
+    ((5, 1, 2), [(0, 3)], False), ((3, 3, None), [(2, 1)], False),
+    ((1021, 1, 2), [(98765, 77777), (123457, 5)], False),
+])
+def test_verdict_and_witness_come_from_one_count(spec, terms, permutes, monkeypatch):
+    ctx = build_tower(spec[0], k=spec[1], n=spec[2])
+    table = SparsePoly(ctx, terms).to_table()
+    hit, x1, x2 = first_collisions(table.values[None, :])
+    counted = []
+    real = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: counted.append(1) or real(*a, **k))
+    assert table.is_permutation() is permutes and bool(hit[0]) is not permutes
+    assert table.first_collision() == (None if permutes else (int(x1[0]), int(x2[0])))
+    assert table.is_permutation() is permutes and counted == [1]
+    # a vector-space map reads the same single count
+    assert VectorMap(ctx.base, ctx.degree, table.values).is_permutation() is permutes
 
 
 @pytest.mark.parametrize("values", [[0, 1, 2, 4], [0, 1, 2, -1], [7, 1, 2, 3]])

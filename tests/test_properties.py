@@ -1,11 +1,13 @@
 """Property and differential tests of the field arithmetic.
 
 The bulk index-array operations are checked elementwise against the scalar
-tower arithmetic (which recurses through the base fields); prime-base
-extensions and Rabin's irreducibility test are checked against sympy's
-galoistools, and Rabin's test over extension bases against trial division.
-Random towers with Q <= 2^12 are checked for the field axioms, Frobenius,
-trace and interpolation.
+arithmetic, and scalar addition and negation (digitwise on the index, like
+the arrays) against the tower recursion through the base fields' own
+arithmetic; prime-base extensions and Rabin's irreducibility test are
+checked against sympy's galoistools, and Rabin's test over extension bases
+against trial division.  Random towers with Q <= 2^12 are checked for the
+field axioms, Frobenius, trace and interpolation, and tabulation (the Zech
+logarithm sum at odd p) against scalar evaluation.
 """
 
 import functools
@@ -18,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 from sympy import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
-from ppf.fields import build_prime_field, build_tower, is_irreducible, is_prime
+from ppf.fields import (_from_digits, _to_digits, build_prime_field, build_tower,
+                        is_irreducible, is_prime)
 from ppf.polys import SparsePoly, interpolate
 
 # (p, k, n): F_p, or F_{(p^k)^n} built as the tower F_p -> F_{p^k} -> F_{(p^k)^n}
@@ -49,6 +52,22 @@ def test_array_addition_matches_scalar_arithmetic(spec, data):
     if len(u) % 2 == 0:  # shape-preserving on 2-D arrays (the sweep's layout)
         rows = ctx.arr_add(ua.reshape(2, -1), va.reshape(2, -1))
         assert rows.ravel().tolist() == ctx.arr_add(ua, va).tolist()
+
+
+def _recursive_add(ctx, a, b):
+    """a + b coordinatewise over the base, down the tower."""
+    if ctx.base is None:
+        return (a + b) % ctx.p
+    q, d = ctx.base.order, ctx.degree
+    return _from_digits([_recursive_add(ctx.base, x, y) for x, y in
+                         zip(_to_digits(a, q, d), _to_digits(b, q, d))], q)
+
+
+def _recursive_neg(ctx, a):
+    if ctx.base is None:
+        return (-a) % ctx.p
+    q = ctx.base.order
+    return _from_digits([_recursive_neg(ctx.base, x) for x in _to_digits(a, q, ctx.degree)], q)
 
 
 def _sympy_poly(coords):
@@ -153,6 +172,7 @@ def test_random_tower_field_axioms(data):
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
     assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
     assert add(a, 0) == a and mul(a, 1) == a and add(a, ctx.neg(a)) == 0
+    assert add(a, b) == _recursive_add(ctx, a, b) and ctx.neg(c) == _recursive_neg(ctx, c)
     if a:
         assert mul(a, ctx.inv(a)) == 1
     # the structural multiply that builds the tables agrees with them
@@ -195,9 +215,9 @@ def test_random_tower_interpolation_inverts_tabulation(data):
     assert interpolate(poly.to_table()).terms == poly.reduce().terms
 
 
-# F_2, F_7, F_4, F_9, F_16, F_25, F_27 and F_64 = (F_8)^2
+# F_2, F_7, F_4, F_9, F_16, F_25, F_27, F_64 = (F_8)^2 and F_81 = (F_9)^2
 TABULATION_FIELDS = [(2, 1, None), (7, 1, None), (2, 1, 2), (3, 1, 2), (2, 2, 2),
-                     (5, 1, 2), (3, 1, 3), (2, 3, 2)]
+                     (5, 1, 2), (3, 1, 3), (2, 3, 2), (3, 2, 2)]
 
 
 def _stress_exponents(order):
@@ -211,6 +231,21 @@ def _stress_exponents(order):
         st.integers(0, 3 * order))
 
 
+def _vanishing_sums(ctx, data):
+    """Terms whose sums vanish: x^((Q-1)/2) + 1 (zero where x^((Q-1)/2) = -1),
+    then + x; c x^e - c x^(e+(Q-1)) (zero everywhere); and a constant plus
+    powers ending in that pair, so that the highest terms sum to zero."""
+    n, units = ctx.order - 1, st.integers(1, ctx.order - 1)
+    c, c2 = data.draw(units), data.draw(units)
+    e = data.draw(st.integers(2, 3 * ctx.order))
+    return data.draw(st.sampled_from([
+        [(n // 2, 1), (0, 1)],
+        [(n // 2, 1), (0, 1), (1, 1)],
+        [(e, c), (e + n, ctx.neg(c))],
+        [(0, c2), (1, c2), (e, c), (e + n, ctx.neg(c))],
+    ]))
+
+
 @pytest.mark.parametrize("spec", TABULATION_FIELDS, ids=_tower_id)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -218,11 +253,15 @@ def test_tabulation_matches_scalar_evaluation(spec, data):
     p, k, n = spec
     ctx = build_tower(p, k=k, n=n)
     coefs = st.integers(0, ctx.order - 1)
-    terms = data.draw(st.lists(st.tuples(_stress_exponents(ctx.order), coefs), max_size=5))
-    if terms:  # a second term whose exponent reduces to the same value
-        e = max(1, terms[data.draw(st.integers(0, len(terms) - 1))][0])
-        j = data.draw(st.sampled_from([1, 2, 2 ** 64]))
-        terms.append((e + j * (ctx.order - 1), data.draw(coefs)))
+    if data.draw(st.booleans()):
+        terms = _vanishing_sums(ctx, data)
+    else:
+        terms = data.draw(st.lists(st.tuples(_stress_exponents(ctx.order), coefs),
+                                   max_size=5))
+        if terms:  # a second term whose exponent reduces to the same value
+            e = max(1, terms[data.draw(st.integers(0, len(terms) - 1))][0])
+            j = data.draw(st.sampled_from([1, 2, 2 ** 64]))
+            terms.append((e + j * (ctx.order - 1), data.draw(coefs)))
     poly = SparsePoly(ctx, terms)
     scalar = [poly.eval(x) for x in range(ctx.order)]
     assert poly.to_table().values.tolist() == scalar
@@ -230,8 +269,8 @@ def test_tabulation_matches_scalar_evaluation(spec, data):
         if e:
             assert (ctx.monomial_table(e, c).tolist()
                     == [ctx.mul(c, ctx.pow(x, e)) for x in range(ctx.order)])
-    # second reference: the scale-of-power sum that tabulation used before,
-    # started from zeros
+    # second reference: the digitwise scale-of-power sum from zeros, as
+    # tabulation worked before the log domain (and still works at p = 2)
     xs, ref = ctx.all_indices(), np.zeros(ctx.order, dtype=np.int64)
     for e, c in poly.terms:
         term = (np.full(ctx.order, c, dtype=np.int64) if e == 0
