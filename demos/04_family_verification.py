@@ -39,12 +39,12 @@ print("q=7, m=n=3: predicted", bad.predicted, "oracle", bad.oracle,
 
 # Sweep the q = 2 (mod 3) families: conditions match the oracle exactly.
 res = sweep_families([5, 8], 6, 6, families=[1, 5, 6, 7, 8], seed=0)
-print(f"\nsweep q in (5, 8), families 1,5-8: {len(res.reports)} instances, "
+print(f"\nsweep q in (5, 8), families 1,5-8: {res.instances} instances, "
       f"{res.disagreements} disagreements")
 
 # Sweep the q = 1 (mod 3) families: the tabulated conditions fail.
 res = sweep_families([7], 6, 6, families=[2, 3, 4], seed=0)
-print(f"sweep q=7, families 2-4: {len(res.reports)} instances, "
+print(f"sweep q=7, families 2-4: {res.instances} instances, "
       f"{res.disagreements} disagreements "
       f"{dict(Counter(r.family for r in res.disagreeing()))}")
 

@@ -175,7 +175,7 @@ def cmd_table1(cfg: RunConfig, args) -> int:
                  f"disagreements: {result.disagreements}"]
         for err in result.errors:
             lines.append(f"error: q={err['q']} family={err['family']}: {err['error']}")
-        for r in itertools.islice(result.iter_disagreeing(), 20):
+        for r in itertools.islice(result.disagreeing(), 20):
             lines.append(f"disagree: family={r.family} q={r.q} m={r.m} n={r.n} "
                          f"alpha={r.alpha} beta={r.beta} eps={r.epsilon} "
                          f"predicted={r.predicted} oracle={r.oracle}")

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb, gcd
 from typing import Optional
 
@@ -294,11 +294,7 @@ class AgreementReport:
     witness: Optional[list]
 
     def to_json(self) -> dict:
-        return {"family": self.family, "q": self.q, "m": self.m, "n": self.n,
-                "alpha": self.alpha, "beta": self.beta, "omega": self.omega,
-                "sign": self.sign, "epsilon": self.epsilon,
-                "predicted": self.predicted, "oracle": self.oracle,
-                "agree": self.agree, "witness": self.witness}
+        return asdict(self)
 
 
 # -- the batched engine ----------------------------------------------------------
@@ -348,19 +344,17 @@ class VariantColumns:
     x1: np.ndarray
     x2: np.ndarray
 
-
-def _agreement_reports(cols: VariantColumns, rows):
-    """AgreementReports for `rows` (a slice or an index array) of one
-    variant's columns, built one at a time."""
-    family, q, alpha, beta, omega, sign = cols.head
-    names, eps = cols.names, cols.eps
-    picked = (c[rows].tolist() for c in (cols.m, cols.n, cols.eps_idx, cols.predicted,
-                                         cols.oracle, cols.x1, cols.x2))
-    for m, n, e, pred, orc, a, b in zip(*picked):
-        tag, value = eps[e]
-        yield AgreementReport(family, q, m, n, alpha, beta, omega, sign,
-                              {"tag": tag, "value": value}, pred, orc, pred == orc,
-                              None if orc else [names[a], names[b]])
+    def reports(self, rows=slice(None)):
+        """AgreementReports for `rows` (a slice or an index array), built
+        one at a time: the one place a report is made from columns."""
+        family, q, alpha, beta, omega, sign = self.head
+        picked = (c[rows].tolist() for c in (self.m, self.n, self.eps_idx, self.predicted,
+                                             self.oracle, self.x1, self.x2))
+        for m, n, e, pred, orc, a, b in zip(*picked):
+            tag, value = self.eps[e]
+            yield AgreementReport(family, q, m, n, alpha, beta, omega, sign,
+                                  {"tag": tag, "value": value}, pred, orc, pred == orc,
+                                  None if orc else [self.names[a], self.names[b]])
 
 
 def _grid(eps_count: int, ms, ns) -> tuple:
@@ -419,32 +413,7 @@ def check_family(ctx: ExtensionField, p: FamilyParams) -> AgreementReport:
     cols = _variant_columns(ctx, p, [p.epsilon], [p.m], [p.n], _grid(1, [p.m], [p.n]),
                             ctx.format_idx, functools.partial(_summand_tables, ctx),
                             functools.partial(_eps_columns, ctx, [p.epsilon]), {})
-    return next(_agreement_reports(cols, slice(None)))
-
-
-def params_from_report(record: dict) -> FamilyParams:
-    """Reconstruct FamilyParams from a report record (for re-running)."""
-    from .polys import parse_element
-    q = record["q"]
-    ctx = field_for_q_squared(q)
-    fam = record["family"]
-    eps_tag = record["epsilon"]["tag"]
-    if eps_tag in ("base_star", "ext_star"):
-        eps = EpsilonSpec(eps_tag, parse_element(ctx, record["epsilon"]["value"]))
-    else:
-        eps = EpsilonSpec(eps_tag)
-    alpha_idx = beta_idx = None
-    omega_choice = 1
-    if fam == 1:
-        mu = ctx.subgroup_mu(q + 1)
-        alpha_idx = mu.index(parse_element(ctx, record["alpha"]))
-        beta_idx = mu.index(parse_element(ctx, record["beta"]))
-    elif record["omega"]:
-        omega_choice = 1 if parse_element(ctx, record["omega"]) == ctx.order3_element() else 2
-    return FamilyParams(family=fam, q=q, m=record["m"], n=record["n"],
-                        epsilon=eps, alpha_idx=alpha_idx, beta_idx=beta_idx,
-                        omega_choice=omega_choice,
-                        sign=-1 if record["sign"] == "-" else 1)
+    return next(cols.reports())
 
 
 # -- sweep --------------------------------------------------------------------
@@ -517,7 +486,7 @@ class SweepResult:
     """A sweep's outcomes: one VariantColumns per variant, in sweep order.
 
     instances and disagreements are counted once, from the columns;
-    AgreementReports are built only on demand (reports, disagreeing).
+    AgreementReports are built only on demand, by VariantColumns.reports.
     """
 
     variants: list = field(default_factory=list)
@@ -531,19 +500,11 @@ class SweepResult:
         self.disagreements = sum(int(np.count_nonzero(v.predicted != v.oracle))
                                  for v in self.variants)
 
-    @functools.cached_property
-    def reports(self) -> list:
-        """Every instance's AgreementReport, in sweep order."""
-        return [r for v in self.variants for r in _agreement_reports(v, slice(None))]
-
-    def iter_disagreeing(self):
+    def disagreeing(self):
         """The disagreeing instances' AgreementReports, in sweep order, built
         one at a time."""
         for v in self.variants:
-            yield from _agreement_reports(v, np.flatnonzero(v.predicted != v.oracle))
-
-    def disagreeing(self) -> list:
-        return list(self.iter_disagreeing())
+            yield from v.reports(np.flatnonzero(v.predicted != v.oracle))
 
 
 def sweep_families(q_list, m_max: int, n_max: int, families=None, seed: int = 0,
@@ -554,15 +515,20 @@ def sweep_families(q_list, m_max: int, n_max: int, families=None, seed: int = 0,
     alpha/beta pairs, both order-3 choices, both signs, and the epsilon grid
     (exhaustive for q <= 9, seeded sample plus specials above).  Inapplicable
     requested families are recorded as errors, not raised.  BadParams,
-    before any block runs, unless 1 <= m_max, n_max <= BINOMIAL_CAP.
+    before any block runs, unless 1 <= m_max, n_max <= BINOMIAL_CAP and the
+    requested families are a non-empty list of ids in 1..8.
     """
     for name, top in (("m_max", m_max), ("n_max", n_max)):
         if not 1 <= top <= BINOMIAL_CAP:
             raise BadParams(f"{name} must lie in 1..{BINOMIAL_CAP}, got {top}")
+    if families is not None:
+        families = list(families)
+        if not families or not set(families) <= set(range(1, 9)):
+            raise BadParams(f"families must be a non-empty list of ids in 1..8, got {families}")
     errors, blocks, variants = [], [], []
     for q in q_list:
         valid = applicable_families(q)
-        wanted = valid if families is None else list(families)
+        wanted = valid if families is None else families
         for fam in wanted:
             if fam not in valid:
                 errors.append(
@@ -731,13 +697,15 @@ def trace_identity_check(ctx: ExtensionField, part: int, omega_choice: int = 1,
 
 
 def two_trace_check(ctx: ExtensionField, a1: int, a2: int, b1: int, b2: int,
-                      g1: SparsePoly, g2: SparsePoly) -> AgreementReport:
+                    g1: SparsePoly, g2: SparsePoly) -> tuple:
     """b1 g1(Tr(a1 x)) + b2 g2(Tr(a2 x)): two-trace composite vs the oracle.
 
     The composite is eta_b o g o rho_a over F_{q^2} with g = (g1, g2) applied
     componentwise, so it is built by compose_field_map.  Predicted: both
     {a1, a2} and {b1, b2} independent and g permuting F_q^2, that is both g's
-    permuting the base field.
+    permuting the base field.  Returns (predicted, oracle, witness), the
+    witness the composite's first collision as element strings (None when
+    it permutes).
     """
     base = ctx.base
     if ctx.degree != 2:
@@ -747,12 +715,9 @@ def two_trace_check(ctx: ExtensionField, a1: int, a2: int, b1: int, b2: int,
     y1, y2 = ctx.decode(ctx.all_indices())
     g = VectorMap(base, 2, ctx.encode([g1.to_table().values[y1], g2.to_table().values[y2]]))
     predicted = all(composition_conditions(ctx, [a1, a2], [b1, b2], g))
-    vals = compose_field_map(FnTable.identity(ctx), [a1, a2], g, [b1, b2]).values
-    fmt, names = ctx.format_idx, {}
-    cols = VariantColumns((0, base.order, fmt(a1), fmt(a2), "", "+"),
-                          [("ext_star", fmt(b1))], names, *_grid(1, [0], [0]),
-                          np.array([predicted]), *_decide(vals[None, :], fmt, names))
-    return next(_agreement_reports(cols, slice(None)))
+    collision = compose_field_map(FnTable.identity(ctx), [a1, a2], g, [b1, b2]).first_collision()
+    witness = None if collision is None else [ctx.format_idx(x) for x in collision]
+    return predicted, collision is None, witness
 
 
 @dataclass

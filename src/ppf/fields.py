@@ -751,8 +751,13 @@ def build_tower(p: int, k: int = 1, n: int | None = None, modulus=None,
                 cap: int | None = None):
     """F_p -> F_{p^k} -> F_{(p^k)^n} tower; returns the outermost context.
 
-    An explicit modulus applies to the outermost extension only.
+    An explicit modulus applies to the outermost extension only.  BadParams
+    for k < 1, or for a modulus when no extension is built.
     """
+    if k < 1:
+        raise BadParams(f"base degree k must be >= 1, got {k}")
+    if modulus is not None and k == 1 and n is None:
+        raise BadParams("a modulus needs an extension (k > 1 or n), got F_p alone")
     ctx = build_prime_field(p, cap=cap)
     if k > 1:
         ctx = build_extension(ctx, k, modulus=modulus if n is None else None, cap=cap)

@@ -8,8 +8,7 @@ the vector space; `composition_equivalence_check` tests that equivalence instanc
 by instance against the exhaustive oracle.
 
 Self-maps of F_q^n are table-backed (VectorMap) over packed coordinate
-vectors, with optional symbolic component polynomials where a construction
-provides them.  A packed vector is its coordinates read as little-endian
+vectors.  A packed vector is its coordinates read as little-endian
 base-q digits, by the same digit codec as a field element's index.
 """
 
@@ -37,13 +36,12 @@ from .polys import (FnTable, SparsePoly, _first_collision, _own_table, compose_u
 class VectorMap:
     """A self-map of F_q^n as a table over packed coordinate vectors."""
 
-    __slots__ = ("base", "n", "table", "components")
+    __slots__ = ("base", "n", "table")
 
-    def __init__(self, base: FieldCtx, n: int, table, components=None):
+    def __init__(self, base: FieldCtx, n: int, table):
         self.base = base
         self.n = n
         self.table = _own_table(table, base.order ** n, DimensionMismatch)
-        self.components = components
 
     @property
     def size(self) -> int:
@@ -210,9 +208,7 @@ def build_triangular_g(base: FieldCtx, comps: ComponentPerms) -> VectorMap:
             out.append(y)
         return tuple(out)
 
-    vm = VectorMap.from_callable(base, n, fn)
-    vm = VectorMap(base, n, vm.table, components=comps)
-    return vm
+    return VectorMap.from_callable(base, n, fn)
 
 
 def monomial_family(f: SparsePoly, exps: Sequence[int], v: CandidateSet,

@@ -72,7 +72,7 @@ C1_GRID = {2: [1, 5, 6, 7, 8], 4: [1, 2, 3, 4], 5: [1, 5, 6, 7, 8],
 def test_criterion_1_family_master_sweep(q):
     t0 = time.time()
     result = sweep_families([q], 8, 8, families=C1_GRID[q], seed=0)
-    bad = result.disagreeing()
+    bad = list(result.disagreeing())
     by_family = {}
     for r in bad:
         by_family[r.family] = by_family.get(r.family, 0) + 1

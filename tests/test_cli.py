@@ -13,7 +13,9 @@ from ppf import cli
 from ppf import families as fam
 from ppf.cli import main, parse_field_spec
 from ppf.errors import ParseError
-from ppf.families import check_family, field_for_q_squared, params_from_report
+from ppf.families import check_family, field_for_q_squared
+
+from conftest import params_from_report, reports
 
 
 def run(capsys, *argv):
@@ -189,6 +191,15 @@ def test_base_field_commands_refuse_a_prime_field(capsys, deadline, argv):
     assert code == 1 and not out
     assert err == "error: BadParams: needs an extension field, got F_5\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["p=5,mod=[1,0,1]", "p=5,k=0", "p=5,k=-2,n=2"])
+def test_an_ignored_tower_spec_is_a_usage_error(capsys, deadline, spec):
+    # these used to answer over F_5 and exit 0
+    with deadline(1.0):
+        code, out, err = run(capsys, "--field", spec, "verify", "x")
+    assert code == 1 and not out
+    assert err.startswith("error: BadParams: ") and "Traceback" not in err
 
 
 def test_family_command(capsys):
@@ -468,11 +479,11 @@ def test_table1_output_pinned(tmp_path, capsys, argv, code, digest):
 
 def _parent_payload(seed, qs, m_max, n_max, result):
     """table1's payload as a dict, from the materialised reports."""
-    reports = result.reports
+    built = reports(result)
     return {"seed": seed, "q": qs, "m_max": m_max, "n_max": n_max,
-            "instances": len(reports),
-            "disagreements": sum(1 for r in reports if not r.agree),
-            "errors": result.errors, "reports": [r.to_json() for r in reports]}
+            "instances": len(built),
+            "disagreements": sum(1 for r in built if not r.agree),
+            "errors": result.errors, "reports": [r.to_json() for r in built]}
 
 
 @settings(max_examples=15, deadline=None)

@@ -32,6 +32,8 @@ from ppf.families import (
 )
 from ppf.polys import first_collisions
 
+from conftest import reports
+
 # `ppf --seed 0 --format json table1 --q 2,4,5,7,8 --m-max 4 --n-max 4` before
 # the batched engine: 136,416 instances, 80 disagreements
 GOLDEN_TABLE1_SHA256 = "53caa52eb183e48748a7e2252bd93bca3b05c1857b5d4f947290d594e5b4751e"
@@ -150,7 +152,7 @@ def reference_report(ctx, p):
 @pytest.mark.parametrize("q", [3, 4, 5, 7])
 def test_sweep_matches_per_instance_reference(q):
     ctx = field_for_q_squared(q)
-    got = [r.to_json() for r in sweep_families([q], 3, 3, seed=0).reports]
+    got = [r.to_json() for r in reports(sweep_families([q], 3, 3, seed=0))]
     want = [reference_report(ctx, p) for fam in applicable_families(q)
             for p in reference_instances(ctx, fam, q, 3, 3)]
     assert len(got) == len(want)
@@ -167,9 +169,9 @@ def test_check_family_is_the_one_instance_grid(f49):
 
 @pytest.mark.parametrize("chunk_values", [1, 100])
 def test_chunking_does_not_change_reports(monkeypatch, chunk_values):
-    whole = [r.to_json() for r in sweep_families([4, 5], 3, 2, seed=0).reports]
+    whole = [r.to_json() for r in reports(sweep_families([4, 5], 3, 2, seed=0))]
     monkeypatch.setattr(families, "CHUNK_VALUES", chunk_values)
-    chunked = [r.to_json() for r in sweep_families([4, 5], 3, 2, seed=0).reports]
+    chunked = [r.to_json() for r in reports(sweep_families([4, 5], 3, 2, seed=0))]
     assert chunked == whole
 
 
@@ -231,7 +233,7 @@ def test_workers_clamped_to_cpus_and_blocks(monkeypatch):
     serial = sweep_families([2], 1, 1, seed=0)
     res = sweep_families([2], 1, 1, seed=0, workers=10 ** 6)   # 5 blocks
     assert RecordingPool.created == [3]
-    assert [r.to_json() for r in res.reports] == [r.to_json() for r in serial.reports]
+    assert [r.to_json() for r in reports(res)] == [r.to_json() for r in reports(serial)]
     sweep_families([2], 1, 1, families=[1, 5], seed=0, workers=10 ** 6)
     assert RecordingPool.created == [3, 2]
     sweep_families([2], 1, 1, families=[1], seed=0, workers=10 ** 6)
@@ -241,9 +243,9 @@ def test_workers_clamped_to_cpus_and_blocks(monkeypatch):
 def test_sweep_result_is_columnar():
     res = sweep_families([4, 5], 2, 3, seed=0)
     assert all(isinstance(v, VariantColumns) for v in res.variants)
-    assert "reports" not in vars(res)   # reports are built on first use only
-    assert res.instances == len(res.reports) == sum(len(v.m) for v in res.variants)
-    bad = [r for r in res.reports if not r.agree]
+    assert not hasattr(res, "reports")   # reports are built from the columns on demand only
+    assert res.instances == len(reports(res)) == sum(len(v.m) for v in res.variants)
+    bad = [r for r in reports(res) if not r.agree]
     assert res.disagreements == len(bad) > 0
     assert [r.to_json() for r in res.disagreeing()] == [r.to_json() for r in bad]
     for v in res.variants:   # grid order: eps-major, then m, then n
@@ -264,6 +266,24 @@ def test_import_leaves_multiprocessing_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_every_traced_benchmark_metric_names_a_wrapped_callable():
+    # the per-layer metrics in BENCHMARK.json read spans of perfbench's tracer;
+    # a callable they name that the tracer no longer wraps would read 0
+    root = Path(families.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import json, sys; from tracer import Tracer; "
+             "t = Tracer(); t.install(); t.uninstall(); "
+             "spec = json.load(open(sys.argv[1])); "
+             "print(sorted(m['name'] for m in spec['per_layer'] if m['name'] not in "
+             "('trace.overhead_frac', 'families.useful_report_ratio') "
+             "and not t.knows(m['name'].rsplit('.', 1)[0])))")
+    out = subprocess.run([sys.executable, "-c", probe, str(root / "BENCHMARK.json")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # -- grid bounds --------------------------------------------------------------------
 
 
@@ -276,9 +296,20 @@ def test_empty_or_oversized_grid_is_refused_up_front(monkeypatch, deadline, m_ma
         sweep_families([5], m_max, n_max)
 
 
+@pytest.mark.parametrize("fams", [[9], [0, -3], [5, 9], []])
+def test_family_ids_outside_1_to_8_or_none_are_refused_up_front(monkeypatch, deadline, fams):
+    # unknown ids used to be filed as inadmissible and an empty list ran
+    # nothing: 0 instances and exit 0, a vacuous pass
+    monkeypatch.setattr(families, "_run_block", lambda args: pytest.fail("a block ran"))
+    with deadline(1), pytest.raises(BadParams, match=r"ids in 1\.\.8"):
+        sweep_families([5], 2, 2, families=fams)
+
+
 @pytest.mark.parametrize("flags", [("--m-max", "0"), ("--n-max", "0"),
                                    ("--m-max", str(BINOMIAL_CAP + 1)),
-                                   ("--n-max", str(BINOMIAL_CAP + 1))])
+                                   ("--n-max", str(BINOMIAL_CAP + 1)),
+                                   ("--families", "9"), ("--families", "0,-3"),
+                                   ("--families", "5,9"), ("--families", ",")])
 def test_cli_refuses_an_empty_or_oversized_grid(capsys, deadline, flags):
     with deadline(1):
         code = main(["table1", "--q", "5", *flags])
@@ -289,4 +320,4 @@ def test_cli_refuses_an_empty_or_oversized_grid(capsys, deadline, flags):
 def test_grid_at_the_cap_is_accepted():
     res = sweep_families([2], BINOMIAL_CAP, 1, families=[5], seed=0)
     # omega choices x eps (the one base unit and four omega specials) x m
-    assert len(res.reports) == 2 * 5 * BINOMIAL_CAP
+    assert res.instances == 2 * 5 * BINOMIAL_CAP

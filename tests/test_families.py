@@ -36,13 +36,14 @@ from ppf.families import (
     lappano_check,
     trace_identity_check,
     ns_condition,
-    params_from_report,
     pentanomial_identity_check,
     sweep_families,
     VariantColumns,
 )
 from ppf.fields import build_tower
 from ppf.polys import SparsePoly, monomial
+
+from conftest import params_from_report, reports
 
 
 def mu_index(ctx, x):
@@ -216,12 +217,12 @@ def test_sweep_clean_families(f25):
     res = sweep_families([5], 4, 4, families=[1, 5, 6, 7, 8], seed=0)
     assert res.disagreements == 0
     assert not res.errors
-    assert len(res.reports) > 0
+    assert res.instances > 0
 
 
 def test_sweep_frozen_disagreements_q7():
     res = sweep_families([7], 4, 4, families=[2, 3, 4], seed=0)
-    assert len(res.reports) == 768
+    assert res.instances == 768
     assert res.disagreements == 24
     by_family = Counter(r.family for r in res.disagreeing())
     assert by_family == {2: 12, 3: 4, 4: 8}
@@ -229,14 +230,14 @@ def test_sweep_frozen_disagreements_q7():
 
 def test_sweep_frozen_disagreements_q4():
     res = sweep_families([4], 4, 4, families=[2, 3, 4], seed=0)
-    assert len(res.reports) == 384
+    assert res.instances == 384
     assert res.disagreements == 56
     assert Counter(r.family for r in res.disagreeing()) == {2: 36, 3: 10, 4: 10}
 
 
 def test_sweep_records_bad_family_requests():
     res = sweep_families([9], 2, 2, families=[2, 3, 4], seed=0)
-    assert len(res.reports) == 0
+    assert res.instances == 0
     assert [e["error"] for e in res.errors] == ["BadModulusClass"] * 3
 
 
@@ -244,21 +245,21 @@ def test_sweep_epsilon_sampling_deterministic():
     # family 1 at q = 11 samples 10 epsilons out of 120, so the seed matters
     r1 = sweep_families([11], 1, 1, families=[1], seed=3)
     r2 = sweep_families([11], 1, 1, families=[1], seed=3)
-    assert [r.to_json() for r in r1.reports] == [r.to_json() for r in r2.reports]
+    assert [r.to_json() for r in reports(r1)] == [r.to_json() for r in reports(r2)]
     r3 = sweep_families([11], 1, 1, families=[1], seed=4)
-    assert [r.to_json() for r in r3.reports] != [r.to_json() for r in r1.reports]
+    assert [r.to_json() for r in reports(r3)] != [r.to_json() for r in reports(r1)]
 
 
 def test_sweep_workers_match_serial():
     serial = sweep_families([5], 3, 3, families=[5, 7], seed=0, workers=1)
     parallel = sweep_families([5], 3, 3, families=[5, 7], seed=0, workers=2)
     assert all(isinstance(v, VariantColumns) for v in parallel.variants)  # workers send columns
-    assert [r.to_json() for r in serial.reports] == [r.to_json() for r in parallel.reports]
+    assert [r.to_json() for r in reports(serial)] == [r.to_json() for r in reports(parallel)]
 
 
 def test_report_round_trip_reproduces_verdict():
     res = sweep_families([5], 2, 2, families=[1, 7], seed=0)
-    for rep in res.reports[:40]:
+    for rep in reports(res)[:40]:
         record = rep.to_json()
         params = params_from_report(record)
         again = check_family(field_for_q_squared(record["q"]), params)
@@ -456,10 +457,8 @@ def test_two_trace_matches_scalar_reference(request, fixture):
         elif trial % 4 == 2:    # dependent pairs
             a2, b2 = ctx.mul(rng.randrange(1, q), a1), ctx.mul(rng.randrange(1, q), b1)
         g1, g2 = _random_base_poly(ctx.base, rng), _random_base_poly(ctx.base, rng)
-        rep = two_trace_check(ctx, a1, a2, b1, b2, g1, g2)
-        predicted, oracle, witness = two_trace_reference(ctx, a1, a2, b1, b2, g1, g2)
-        assert (rep.predicted, rep.oracle, rep.witness) == (predicted, oracle, witness)
-        assert rep.agree == (predicted == oracle)
+        assert (two_trace_check(ctx, a1, a2, b1, b2, g1, g2)
+                == two_trace_reference(ctx, a1, a2, b1, b2, g1, g2))
 
 
 def test_two_trace_needs_a_quadratic_extension():
@@ -480,12 +479,11 @@ def test_pentanomial_checks_its_binomial_expansion(f25, monkeypatch):
 def test_two_trace_composites(f9, f25):
     t9 = 3  # the adjoined root of F_9
     x3 = monomial(f9.base, 1)
-    rep = two_trace_check(f9, 1, t9, 1, t9, x3, x3)
-    assert rep.agree and rep.predicted and rep.oracle
+    assert two_trace_check(f9, 1, t9, 1, t9, x3, x3) == (True, True, None)
     sq = monomial(f9.base, 2)   # not a PP of F_3
-    rep = two_trace_check(f9, 1, t9, 1, t9, sq, x3)
-    assert rep.agree and not rep.predicted and not rep.oracle
+    predicted, oracle, witness = two_trace_check(f9, 1, t9, 1, t9, sq, x3)
+    assert not predicted and not oracle and witness is not None
     x5 = monomial(f25.base, 1)
-    rep = two_trace_check(f25, 1, 5, 7, f25.mul(2, 7), x5, x5)  # b2 = 2 b1
-    assert rep.agree and not rep.predicted and not rep.oracle
-    assert rep.witness is not None
+    predicted, oracle, witness = two_trace_check(f25, 1, 5, 7, f25.mul(2, 7), x5, x5)  # b2 = 2 b1
+    assert not predicted and not oracle
+    assert witness is not None

@@ -65,6 +65,18 @@ def test_explicit_modulus(f25):
         build_extension(build_prime_field(5), 2, modulus=[2, 0, 2])
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"modulus": [1, 0, 1]}, "needs an extension"),   # F_5 alone takes no modulus
+    ({"k": 0}, "k must be >= 1"),
+    ({"k": -2}, "k must be >= 1"),
+    ({"k": 0, "n": 2}, "k must be >= 1"),
+])
+def test_build_tower_refuses_a_spec_it_would_ignore(kwargs, match):
+    # each of these used to return F_5 as if the spec were not there
+    with pytest.raises(BadParams, match=match):
+        build_tower(5, **kwargs)
+
+
 def test_irreducibility_facts(f2):
     assert is_irreducible(f2, [1, 1, 1])       # t^2+t+1
     assert not is_irreducible(f2, [1, 0, 1])   # (t+1)^2
