@@ -15,7 +15,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import families as fam
 from . import maps as maps_mod
@@ -31,16 +30,6 @@ EXIT_DISAGREE = 2
 EXIT_NEGATIVE = 3
 _REPORTS_PER_CHUNK = 4096  # table1 JSON reports per write
 _JSON_BOOL = ("false", "true")
-
-
-@dataclass
-class RunConfig:
-    field_spec: str | None
-    command: str
-    seed: int
-    cap: int
-    out_format: str
-    out_path: str | None
 
 
 def parse_field_spec(spec: str, cap: int):
@@ -80,44 +69,44 @@ def parse_field_spec(spec: str, cap: int):
     return build_tower(p, k=k, n=n, modulus=modulus, cap=cap)
 
 
-def _extension_field(cfg: RunConfig):
+def _extension_field(args):
     """The --field context, for commands that work over its base field."""
-    ctx = parse_field_spec(cfg.field_spec, cfg.cap)
+    ctx = parse_field_spec(args.field, args.cap)
     if ctx.base is None:
         raise BadParams(f"needs an extension field, got {ctx}")
     return ctx
 
 
-def _render(cfg: RunConfig, payload: dict, text_lines: list) -> list:
+def _render(args, payload: dict, text_lines: list) -> list:
     """A command's output as chunks: payload as one JSON line, or the text lines."""
-    if cfg.out_format == "json":
+    if args.format == "json":
         return [json.dumps(payload, sort_keys=True, separators=(",", ":")), "\n"]
     return [line + "\n" for line in text_lines]
 
 
-def _emit(cfg: RunConfig, chunks) -> None:
+def _emit(args, chunks) -> None:
     """Write the chunks, each of bounded size, to --out or stdout."""
-    with open(cfg.out_path, "w") if cfg.out_path else contextlib.nullcontext(sys.stdout) as fh:
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         for chunk in chunks:
             fh.write(chunk)
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
-    ctx = parse_field_spec(cfg.field_spec, cfg.cap)
+def cmd_verify(args) -> int:
+    ctx = parse_field_spec(args.field, args.cap)
     poly = parse_poly(ctx, args.poly)
     table = poly.to_table()
     is_pp = table.is_permutation()
-    payload = {"seed": cfg.seed, "field": str(ctx), "poly": str(poly.reduce()),
+    payload = {"seed": args.seed, "field": str(ctx), "poly": str(poly.reduce()),
                "is_permutation": is_pp, "inverse_table_available": is_pp}
-    _emit(cfg, _render(cfg, payload, [f"seed: {cfg.seed}",
-                                      f"field: {ctx}",
-                                      f"poly: {poly.reduce()}",
-                                      f"is_permutation: {is_pp}",
-                                      f"inverse_table_available: {is_pp}"]))
+    _emit(args, _render(args, payload, [f"seed: {args.seed}",
+                                        f"field: {ctx}",
+                                        f"poly: {poly.reduce()}",
+                                        f"is_permutation: {is_pp}",
+                                        f"inverse_table_available: {is_pp}"]))
     return EXIT_OK if is_pp else EXIT_NEGATIVE
 
 
-def _table1_json(cfg: RunConfig, args, qs: list, result: fam.SweepResult):
+def _table1_json(args, qs: list, result: fam.SweepResult):
     """table1's JSON line, byte for byte as json.dumps(payload, sort_keys=True,
     separators=(",", ":")) + "\\n" writes it, in chunks of at most
     _REPORTS_PER_CHUNK reports.
@@ -153,24 +142,24 @@ def _table1_json(cfg: RunConfig, args, qs: list, result: fam.SweepResult):
                                                  v.oracle, v.x1, v.x2)))]
             yield sep + ",".join(reports)
             sep = ","
-    yield '],"seed":%d}\n' % cfg.seed
+    yield '],"seed":%d}\n' % args.seed
 
 
-def cmd_table1(cfg: RunConfig, args) -> int:
+def cmd_table1(args) -> int:
     qs = [int(q) for q in args.q.split(",") if q]
     if not qs:
         raise ParseError("empty q list")
     if args.workers < 1:
         raise ParseError("workers must be positive")
     families = None
-    if args.families:
+    if args.families is not None:
         families = [int(f) for f in args.families.split(",") if f]
     result = fam.sweep_families(qs, args.m_max, args.n_max, families=families,
-                              seed=cfg.seed, workers=args.workers, cap=cfg.cap)
-    if cfg.out_format == "json":
-        _emit(cfg, _table1_json(cfg, args, qs, result))
+                              seed=args.seed, workers=args.workers, cap=args.cap)
+    if args.format == "json":
+        _emit(args, _table1_json(args, qs, result))
     else:
-        lines = [f"seed: {cfg.seed}",
+        lines = [f"seed: {args.seed}",
                  f"instances: {result.instances}",
                  f"disagreements: {result.disagreements}"]
         for err in result.errors:
@@ -179,15 +168,15 @@ def cmd_table1(cfg: RunConfig, args) -> int:
             lines.append(f"disagree: family={r.family} q={r.q} m={r.m} n={r.n} "
                          f"alpha={r.alpha} beta={r.beta} eps={r.epsilon} "
                          f"predicted={r.predicted} oracle={r.oracle}")
-        _emit(cfg, [line + "\n" for line in lines])
+        _emit(args, [line + "\n" for line in lines])
     return EXIT_OK if result.disagreements == 0 else EXIT_DISAGREE
 
 
-def cmd_ast_check(cfg: RunConfig, args) -> int:
+def cmd_ast_check(args) -> int:
     if args.trials <= 0:
         raise ParseError("trials must be positive")
-    ctx = _extension_field(cfg)
-    rng = random.Random(cfg.seed)
+    ctx = _extension_field(args)
+    rng = random.Random(args.seed)
     q, n = ctx.base.order, ctx.degree
     f_tables = [FnTable.identity(ctx),
                 FnTable(ctx, ctx.arr_pow(ctx.all_indices(), q))]
@@ -205,18 +194,18 @@ def cmd_ast_check(cfg: RunConfig, args) -> int:
             checked += 1
             if not maps_mod.composition_equivalence_check(f, v, a, g):
                 failures += 1
-    payload = {"seed": cfg.seed, "field": str(ctx), "trials": args.trials,
+    payload = {"seed": args.seed, "field": str(ctx), "trials": args.trials,
                "checked": checked, "failures": failures}
-    _emit(cfg, _render(cfg, payload, [f"seed: {cfg.seed}", f"checked: {checked}",
-                                      f"failures: {failures}"]))
+    _emit(args, _render(args, payload, [f"seed: {args.seed}", f"checked: {checked}",
+                                        f"failures: {failures}"]))
     return EXIT_OK if failures == 0 else EXIT_DISAGREE
 
 
-def cmd_psi_check(cfg: RunConfig, args) -> int:
+def cmd_psi_check(args) -> int:
     if args.trials <= 0:
         raise ParseError("trials must be positive")
-    ctx = _extension_field(cfg)
-    rng = random.Random(cfg.seed)
+    ctx = _extension_field(args)
+    rng = random.Random(args.seed)
     n, q = ctx.degree, ctx.base.order
     v = Basis(ctx, [q ** i for i in range(n)])  # power basis
     failures = 0
@@ -231,31 +220,31 @@ def cmd_psi_check(cfg: RunConfig, args) -> int:
         inv_ok = maps_mod.psi_inverse(v, p1) == g1
         if not (comp_ok and lin_lhs == lin_rhs and inv_ok):
             failures += 1
-    payload = {"seed": cfg.seed, "field": str(ctx), "trials": args.trials,
+    payload = {"seed": args.seed, "field": str(ctx), "trials": args.trials,
                "failures": failures}
-    _emit(cfg, _render(cfg, payload, [f"seed: {cfg.seed}", f"failures: {failures}"]))
+    _emit(args, _render(args, payload, [f"seed: {args.seed}", f"failures: {failures}"]))
     return EXIT_OK if failures == 0 else EXIT_DISAGREE
 
 
-def cmd_dual_basis(cfg: RunConfig, args) -> int:
-    ctx = _extension_field(cfg)
+def cmd_dual_basis(args) -> int:
+    ctx = _extension_field(args)
     elems = [parse_element(ctx, e) for e in args.elems]
     try:
         basis = Basis(ctx, elems)
     except NotABasis as exc:  # a wrong element count is a usage error
-        _emit(cfg, _render(cfg, {"seed": cfg.seed, "error": "NotABasis", "detail": str(exc)},
-                           [f"NotABasis: {exc}"]))
+        _emit(args, _render(args, {"seed": args.seed, "error": "NotABasis", "detail": str(exc)},
+                             [f"NotABasis: {exc}"]))
         return EXIT_NEGATIVE
     dual = basis.dual()
     gram_ok = all(
         ctx.trace(ctx.mul(vi, uj)) == (1 if i == j else 0)
         for i, vi in enumerate(basis.elems) for j, uj in enumerate(dual.elems))
-    payload = {"seed": cfg.seed, "field": str(ctx),
+    payload = {"seed": args.seed, "field": str(ctx),
                "basis": [ctx.format_idx(i) for i in basis.elems],
                "dual": [ctx.format_idx(i) for i in dual.elems],
                "gram_ok": gram_ok}
-    _emit(cfg, _render(cfg, payload, [f"dual: {' '.join(ctx.format_idx(i) for i in dual.elems)}",
-                                      f"gram_ok: {gram_ok}"]))
+    _emit(args, _render(args, payload, [f"dual: {' '.join(ctx.format_idx(i) for i in dual.elems)}",
+                                        f"gram_ok: {gram_ok}"]))
     return EXIT_OK
 
 
@@ -270,8 +259,8 @@ def _parse_epsilon(ctx, text: str) -> fam.EpsilonSpec:
     return fam.eps_ext(value)
 
 
-def cmd_family(cfg: RunConfig, args) -> int:
-    ctx = fam.field_for_q_squared(args.q, cap=cfg.cap)
+def cmd_family(args) -> int:
+    ctx = fam.field_for_q_squared(args.q, cap=args.cap)
     eps = _parse_epsilon(ctx, args.epsilon)
     if args.family == 1 and eps.tag == "base_star":
         eps = fam.eps_ext(eps.value)
@@ -280,44 +269,44 @@ def cmd_family(cfg: RunConfig, args) -> int:
         alpha_idx=args.alpha_idx, beta_idx=args.beta_idx,
         omega_choice=args.omega, sign=-1 if args.sign == "-" else 1)
     report = fam.check_family(ctx, params)
-    payload = {"seed": cfg.seed, **report.to_json()}
-    _emit(cfg, _render(cfg, payload, [f"predicted: {report.predicted}",
-                                      f"oracle: {report.oracle}",
-                                      f"agree: {report.agree}",
-                                      f"witness: {report.witness}"]))
+    payload = {"seed": args.seed, **report.to_json()}
+    _emit(args, _render(args, payload, [f"predicted: {report.predicted}",
+                                        f"oracle: {report.oracle}",
+                                        f"agree: {report.agree}",
+                                        f"witness: {report.witness}"]))
     return EXIT_OK if report.agree else EXIT_DISAGREE
 
 
-def cmd_lemma31(cfg: RunConfig, args) -> int:
-    ctx = fam.field_for_q_squared(args.q, cap=cfg.cap)
+def cmd_lemma31(args) -> int:
+    ctx = fam.field_for_q_squared(args.q, cap=args.cap)
     alpha = parse_element(ctx, args.alpha) if args.alpha else None
     report = fam.trace_identity_check(ctx, args.part, omega_choice=args.omega, alpha=alpha)
-    payload = {"seed": cfg.seed, "part": args.part, "q": args.q, "ok": report.ok,
+    payload = {"seed": args.seed, "part": args.part, "q": args.q, "ok": report.ok,
                "admissible": report.admissible_count, "checked": report.checked}
-    _emit(cfg, _render(cfg, payload, [f"part {args.part} q={args.q}: ok={report.ok} "
-                                      f"admissible={report.admissible_count}"]))
+    _emit(args, _render(args, payload, [f"part {args.part} q={args.q}: ok={report.ok} "
+                                        f"admissible={report.admissible_count}"]))
     return EXIT_OK if report.ok else EXIT_DISAGREE
 
 
-def cmd_pentanomial(cfg: RunConfig, args) -> int:
-    ctx = fam.field_for_q_squared(args.q, cap=cfg.cap)
+def cmd_pentanomial(args) -> int:
+    ctx = fam.field_for_q_squared(args.q, cap=args.cap)
     report = fam.pentanomial_identity_check(
         ctx, args.Q, args.R, args.S, args.variant,
         omega_choice=args.omega, alpha_idx=args.alpha_idx)
-    payload = {"seed": cfg.seed, "q": args.q, "variant": args.variant,
+    payload = {"seed": args.seed, "q": args.q, "variant": args.variant,
                "Q": args.Q, "R": args.R, "S": args.S, "exponent": report.exponent,
                "identity_ok": report.identity_ok, "predicted": report.predicted,
                "oracle": report.oracle, "ok": report.ok}
-    _emit(cfg, _render(cfg, payload, [f"exponent: {report.exponent}",
-                                      f"identity_ok: {report.identity_ok}",
-                                      f"predicted: {report.predicted}",
-                                      f"oracle: {report.oracle}",
-                                      f"ok: {report.ok}"]))
+    _emit(args, _render(args, payload, [f"exponent: {report.exponent}",
+                                        f"identity_ok: {report.identity_ok}",
+                                        f"predicted: {report.predicted}",
+                                        f"oracle: {report.oracle}",
+                                        f"ok: {report.ok}"]))
     return EXIT_OK if report.ok else EXIT_DISAGREE
 
 
-def cmd_lappano(cfg: RunConfig, args) -> int:
-    ctx = fam.field_for_q_squared(args.q, cap=cfg.cap)
+def cmd_lappano(args) -> int:
+    ctx = fam.field_for_q_squared(args.q, cap=args.cap)
     a_values = ([parse_element(ctx, args.a)] if args.a
                 else list(range(1, args.q)))
     rows, disagreements = [], 0
@@ -327,12 +316,12 @@ def cmd_lappano(cfg: RunConfig, args) -> int:
             disagreements += 1
         rows.append({"a": ctx.format_idx(a), "predicted": predicted,
                      "oracle": oracle, "agree": predicted == oracle})
-    payload = {"seed": cfg.seed, "q": args.q, "rows": rows,
+    payload = {"seed": args.seed, "q": args.q, "rows": rows,
                "disagreements": disagreements}
     lines = [f"q={args.q} checked={len(rows)} disagreements={disagreements}"]
     lines += [f"a={r['a']} predicted={r['predicted']} oracle={r['oracle']}"
               for r in rows if not r["agree"]]
-    _emit(cfg, _render(cfg, payload, lines))
+    _emit(args, _render(args, payload, lines))
     return EXIT_OK if disagreements == 0 else EXIT_DISAGREE
 
 
@@ -415,16 +404,13 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    cap = args.cap
-    if cap is None:
-        cap = int(os.environ.get("PPF_CAP", DEFAULT_CAP))
-    cfg = RunConfig(field_spec=args.field, command=args.command, seed=args.seed,
-                    cap=cap, out_format=args.format, out_path=args.out)
-    if getattr(args, "needs_field", False) and not cfg.field_spec:
+    if args.cap is None:
+        args.cap = int(os.environ.get("PPF_CAP", DEFAULT_CAP))
+    if getattr(args, "needs_field", False) and not args.field:
         sys.stderr.write("error: this command requires --field\n")
         return EXIT_USAGE
     try:
-        return args.fn(cfg, args)
+        return args.fn(args)
     except (PPFError, ValueError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_USAGE

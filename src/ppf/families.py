@@ -147,6 +147,8 @@ def validate_params(ctx: ExtensionField, p: FamilyParams) -> None:
         if p.epsilon.tag not in ("ext_star", "plus_omega", "minus_omega",
                                  "plus_omega_sq", "minus_omega_sq"):
             raise EpsilonDomain("family 1 takes eps in the full unit group")
+        if p.epsilon.tag == "ext_star" and not 0 < p.epsilon.value < ctx.order:
+            raise EpsilonDomain("ext_star epsilon must be a nonzero element of F_{q^2}")
     elif p.family in (2, 3, 4):
         if p.epsilon.tag != "base_star" or not (0 < p.epsilon.value < p.q):
             raise EpsilonDomain(f"family {p.family} takes eps in the base unit group")
@@ -357,13 +359,6 @@ class VariantColumns:
                                   None if orc else [self.names[a], self.names[b]])
 
 
-def _grid(eps_count: int, ms, ns) -> tuple:
-    """The (m, n, eps index) columns of an eps x m x n grid, in grid order."""
-    e, m, n = np.meshgrid(np.arange(eps_count), np.asarray(ms), np.asarray(ns),
-                          indexing="ij")
-    return m.ravel(), n.ravel(), e.ravel()
-
-
 def _decide(values: np.ndarray, fmt, names: dict) -> tuple:
     """(oracle, x1, x2) for the rows of the 2-D table array `values`: one
     row-wise count gives every verdict and first witness.  Adds the string
@@ -373,46 +368,55 @@ def _decide(values: np.ndarray, fmt, names: dict) -> tuple:
     return ~hit, x1, x2
 
 
-def _variant_columns(ctx: ExtensionField, p: FamilyParams, eps_specs, ms, ns,
-                     grid: tuple, fmt, summands, eps_of, names: dict) -> VariantColumns:
-    """Columns for the eps x m x n grid of p's variant (family, alpha/beta,
-    omega choice, sign; p's own m, n and eps are ignored).
+def _block_columns(ctx: ExtensionField, variants, eps_specs, ms, ns) -> list:
+    """VariantColumns for the eps x m x n grid of each variant (family,
+    alpha/beta, omega choice, sign; its own m, n and eps are ignored): the
+    one entry into the engine.
 
-    Instance (eps, m, n) is the row first[m] + eps * second[n] of one 2-D
-    table array, built and decided CHUNK_VALUES table entries at a time.
-    grid is _grid(len(eps_specs), ms, ns); fmt formats element indices,
-    summands(c, d, exponents) builds summand tables (_summand_tables over
-    ctx) and eps_of(omega) gives _eps_columns over eps_specs; sweeps pass
-    per-block memos of all three and one names dict per block.
+    The block's state is made once and shared by its variants: the grid
+    columns, the element strings (one names dict), the summand tables
+    (family 1's first form depends only on alpha, its second only on beta)
+    and the eps columns (once per omega).  Instance (eps, m, n) is the row
+    first[m] + eps * second[n] of one 2-D table array, built and decided
+    CHUNK_VALUES table entries at a time.
     """
-    (c1, d1), (c2, d2), w = _branches(ctx, p)
-    eps_values, eps_pow = eps_of(w)
-    first = summands(c1, d1, ms)
-    second = summands(c2, d2, ns)
-    predicted = _conditions(ctx, p, eps_specs, eps_pow, ms, ns).ravel()
-    eps_col = eps_values[:, None]
+    ms, ns = tuple(ms), tuple(ns)  # hashable, for the summand-table memo
+    e, m, n = np.meshgrid(np.arange(len(eps_specs)), np.asarray(ms), np.asarray(ns),
+                          indexing="ij")
+    grid = m.ravel(), n.ravel(), e.ravel()
+    fmt = functools.cache(ctx.format_idx)
+    summands = functools.cache(functools.partial(_summand_tables, ctx))
+    eps_of = functools.cache(functools.partial(_eps_columns, ctx, eps_specs))
+    names = {}
     M, N = len(ms), len(ns)
     step = max(1, CHUNK_VALUES // ctx.order)
-    chunks = []
-    for r0 in range(0, len(predicted), step):
-        r = np.arange(r0, min(r0 + step, len(predicted)))
-        values = ctx.arr_add(first[r // N % M],
-                             ctx.arr_mul(eps_col[r // (M * N)], second[r % N]))
-        chunks.append(_decide(values, fmt, names))
-    oracle, x1, x2 = (np.concatenate(c) for c in zip(*chunks))
-    head = (p.family, p.q, fmt(d1), fmt(d2), fmt(w) if w else "",
-            "-" if p.sign < 0 else "+")
-    eps = [(s.tag, fmt(v)) for s, v in zip(eps_specs, eps_values.tolist())]
-    return VariantColumns(head, eps, names, *grid, predicted, oracle, x1, x2)
+    out = []
+    for p in variants:
+        (c1, d1), (c2, d2), w = _branches(ctx, p)
+        eps_values, eps_pow = eps_of(w)
+        first = summands(c1, d1, ms)
+        second = summands(c2, d2, ns)
+        predicted = _conditions(ctx, p, eps_specs, eps_pow, ms, ns).ravel()
+        eps_col = eps_values[:, None]
+        chunks = []
+        for r0 in range(0, len(predicted), step):
+            r = np.arange(r0, min(r0 + step, len(predicted)))
+            values = ctx.arr_add(first[r // N % M],
+                                 ctx.arr_mul(eps_col[r // (M * N)], second[r % N]))
+            chunks.append(_decide(values, fmt, names))
+        oracle, x1, x2 = (np.concatenate(c) for c in zip(*chunks))
+        head = (p.family, p.q, fmt(d1), fmt(d2), fmt(w) if w else "",
+                "-" if p.sign < 0 else "+")
+        eps = [(s.tag, fmt(v)) for s, v in zip(eps_specs, eps_values.tolist())]
+        out.append(VariantColumns(head, eps, names, *grid, predicted, oracle, x1, x2))
+    return out
 
 
 def check_family(ctx: ExtensionField, p: FamilyParams) -> AgreementReport:
     """Condition vs exhaustive oracle for one instance: the engine on a
     1 x 1 x 1 grid, with the expansion checked against direct evaluation."""
     validate_params(ctx, p)
-    cols = _variant_columns(ctx, p, [p.epsilon], [p.m], [p.n], _grid(1, [p.m], [p.n]),
-                            ctx.format_idx, functools.partial(_summand_tables, ctx),
-                            functools.partial(_eps_columns, ctx, [p.epsilon]), {})
+    cols, = _block_columns(ctx, [p], [p.epsilon], [p.m], [p.n])
     return next(cols.reports())
 
 
@@ -462,23 +466,13 @@ def _sweep_variants(family: int, q: int, eps0: EpsilonSpec) -> list:
 
 def _run_block(args) -> list:
     """One (q, family) sweep block: VariantColumns for each variant's
-    eps x m x n grid.  Element strings are formatted, summand tables built
-    (family 1's first form depends only on alpha, its second only on beta),
-    the eps columns resolved (once per omega) and the grid columns made once
-    per block."""
+    eps x m x n grid, from one `_block_columns` call."""
     q, family, m_max, n_max, seed, cap = args
     ctx = field_for_q_squared(q, cap=cap)
     rng = random.Random(seed * 1_000_003 + q * 1009 + family)
     eps_list = _eps_specs(ctx, family, q, rng)
-    ms, ns = range(1, m_max + 1), range(1, n_max + 1)
-    grid = _grid(len(eps_list), ms, ns)
-    fmt = functools.cache(ctx.format_idx)
-    summands = functools.cache(functools.partial(_summand_tables, ctx))
-    eps_of = functools.cache(functools.partial(_eps_columns, ctx, eps_list))
-    names = {}
-    return [_variant_columns(ctx, variant, eps_list, ms, ns, grid, fmt, summands, eps_of,
-                             names)
-            for variant in _sweep_variants(family, q, eps_list[0])]
+    return _block_columns(ctx, _sweep_variants(family, q, eps_list[0]), eps_list,
+                          range(1, m_max + 1), range(1, n_max + 1))
 
 
 @dataclass
@@ -515,16 +509,23 @@ def sweep_families(q_list, m_max: int, n_max: int, families=None, seed: int = 0,
     alpha/beta pairs, both order-3 choices, both signs, and the epsilon grid
     (exhaustive for q <= 9, seeded sample plus specials above).  Inapplicable
     requested families are recorded as errors, not raised.  BadParams,
-    before any block runs, unless 1 <= m_max, n_max <= BINOMIAL_CAP and the
-    requested families are a non-empty list of ids in 1..8.
+    before any block runs, unless 1 <= m_max, n_max <= BINOMIAL_CAP, q_list
+    is a non-empty list of distinct values and the requested families are a
+    non-empty list of distinct ids in 1..8 (a repeat would run and count its
+    blocks again).
     """
     for name, top in (("m_max", m_max), ("n_max", n_max)):
         if not 1 <= top <= BINOMIAL_CAP:
             raise BadParams(f"{name} must lie in 1..{BINOMIAL_CAP}, got {top}")
+    q_list = list(q_list)
+    if not q_list or len(set(q_list)) < len(q_list):
+        raise BadParams(f"q must be a non-empty list of distinct values, got {q_list}")
     if families is not None:
         families = list(families)
-        if not families or not set(families) <= set(range(1, 9)):
-            raise BadParams(f"families must be a non-empty list of ids in 1..8, got {families}")
+        if (not families or len(set(families)) < len(families)
+                or not set(families) <= set(range(1, 9))):
+            raise BadParams(f"families must be a non-empty list of distinct ids in 1..8, "
+                            f"got {families}")
     errors, blocks, variants = [], [], []
     for q in q_list:
         valid = applicable_families(q)

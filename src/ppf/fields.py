@@ -16,9 +16,9 @@ converts between an index and its coordinates, and also packs the vectors
 of F_q^n.
 
 Every context is built with its discrete log/exp tables (int64 arrays)
-before it is handed out, and an extension of odd characteristic also with
-its Zech logarithms Z[d] = log(1 + g^d), an int32 table of Q - 1 entries
-(4 bytes per element, 4 MB at F_{1021^2}).  Construction needs no tables
+before it is handed out, and at odd characteristic also with its Zech
+logarithms Z[d] = log(1 + g^d), an int32 table of Q - 1 entries (4 bytes
+per element, 4 MB at F_{1021^2}).  Construction needs no tables
 of its own: the modulus comes from Rabin's irreducibility test in scalar
 base arithmetic, and the canonical generator and the exp table from a
 structural array multiply (coordinate convolution over the base, then
@@ -29,9 +29,13 @@ negation, and the bulk operations on numpy arrays of indices (`arr_*`
 methods) which the permutation-sweep machinery runs on, work on the base-p
 digits of the whole tower (addition, negation, summation) or on the tables
 (multiplication, powering).  A polynomial's table (`polynomial_table`) is
-one exp gather per term summed by `arr_add` at p = 2 (XOR) and over prime
-fields; over an odd-p extension the terms are summed as logarithms through
-the Zech table (Huber 1990), with one exp gather at the end.
+one exp gather per term summed by XOR at p = 2; at odd p the terms are
+summed as logarithms through the Zech table (Huber 1990), with one exp
+gather at the end.
+
+`FieldCtx` defines each of these rules once for every context; `PrimeField`
+keeps only its one-digit mod-p products (and scalar sums, which Rabin's test
+runs on), and `ExtensionField` its tower structure.
 """
 
 from __future__ import annotations
@@ -56,19 +60,8 @@ _GENERATOR_CHUNK = 64  # candidates tested per array pass of the generator searc
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; fields here are desk-scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+    """Primality by `factorize`'s trial division; fields here are desk-scale."""
+    return factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict:
@@ -155,19 +148,10 @@ class FieldCtx:
         self._log = None      # for scalar lookups that yield Python ints
         self._exp_code_np = None  # exp over the log codes: _exp_np plus a
                                   # trailing 0 at the zero code order-1
-        self._zech_np = None  # odd-p extensions: Zech logarithms (int32)
+        self._zech_np = None  # odd p: Zech logarithms (int32)
         self._frob_np = None
 
     # -- representation ------------------------------------------------
-
-    def decode(self, idx: int) -> list:
-        raise NotImplementedError
-
-    def encode(self, coords) -> int:
-        raise NotImplementedError
-
-    def format_idx(self, idx: int) -> str:
-        raise NotImplementedError
 
     def from_int(self, n: int) -> int:
         """Index of the constant n (i.e. n * 1, reduced mod p)."""
@@ -176,10 +160,10 @@ class FieldCtx:
     # -- scalar arithmetic on indices -----------------------------------
 
     def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return _digitwise_add(a, b, self.p, self.order)
 
     def neg(self, a: int) -> int:
-        raise NotImplementedError
+        return _digitwise_neg(a, self.p, self.order)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -259,7 +243,7 @@ class FieldCtx:
 
     def ensure_tables(self):
         """Build the discrete log/exp tables (done at construction), and at
-        odd p over an extension the Zech logarithms.
+        odd p the Zech logarithms.
 
         exp is filled blockwise: with m = ceil(sqrt(order-1)) small powers
         g^j and the block starts G^k, G = g^m, one structural multiply of
@@ -292,7 +276,7 @@ class FieldCtx:
                                   "are not a permutation of the units")
         self._exp_np, self._log_np, self._exp_code_np = exp, log, exp_code
         self._exp, self._log = memoryview(exp), memoryview(log)
-        if self.p > 2 and self.base is not None:
+        if self.p > 2:
             p = self.p
             succ = np.arange(2, self.order + 1, dtype=np.int64)    # x + 1, x = 1..n
             succ[p - 2::p] -= p
@@ -380,9 +364,8 @@ class FieldCtx:
         """Table of x -> sum of c x^e over the canonical enumeration, for
         (e, c) terms with distinct exponents, c != 0, sorted by e.
 
-        Without a Zech table (p = 2, or a prime field) the terms are
-        gathered by `monomial_table` and summed by `arr_add`, which is XOR
-        at p = 2.  Otherwise the sum stays in the log domain.  With
+        At p = 2 the terms are gathered by `monomial_table` and summed by
+        `arr_add`, an XOR.  At odd p the sum stays in the log domain.  With
         T_i = c_i x^(e_i) and r_i = T_(i+1)/T_i, a monomial of log
         log(c_(i+1)/c_i) + (e_(i+1) - e_i) log x,
 
@@ -397,7 +380,7 @@ class FieldCtx:
         """
         if not terms:
             return np.zeros(self.order, dtype=np.int64)
-        if self._zech_np is None:
+        if self.p == 2:
             acc = None
             for e, c in terms:
                 term = (np.full(self.order, c, dtype=np.int64) if e == 0
@@ -455,6 +438,7 @@ class PrimeField(FieldCtx):
     def format_idx(self, idx):
         return str(idx)
 
+    # one-digit fast paths of the shared rules: Rabin's test runs on them
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -516,14 +500,6 @@ class ExtensionField(FieldCtx):
 
     def in_base(self, idx: int) -> bool:
         return idx < self.base.order
-
-    # -- scalar arithmetic -------------------------------------------------
-
-    def add(self, a, b):
-        return _digitwise_add(a, b, self.p, self.order)
-
-    def neg(self, a):
-        return _digitwise_neg(a, self.p, self.order)
 
     def _arr_mul_structural(self, u, v):
         """Elementwise product of index arrays (broadcasting) without this

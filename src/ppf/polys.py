@@ -128,8 +128,8 @@ class SparsePoly:
 
     def to_table(self) -> "FnTable":
         """Evaluate at every field element, in canonical enumeration order
-        (see `FieldCtx.polynomial_table`: exp gathers summed digitwise, or
-        at odd p over an extension a Zech-logarithm sum and one gather)."""
+        (see `FieldCtx.polynomial_table`: exp gathers summed by XOR at
+        p = 2, a Zech-logarithm sum and one gather at odd p)."""
         return FnTable(self.ctx, self.ctx.polynomial_table(self.terms))
 
     # -- text form and equality ------------------------------------------------

@@ -296,20 +296,32 @@ def test_empty_or_oversized_grid_is_refused_up_front(monkeypatch, deadline, m_ma
         sweep_families([5], m_max, n_max)
 
 
-@pytest.mark.parametrize("fams", [[9], [0, -3], [5, 9], []])
+@pytest.mark.parametrize("fams", [[9], [0, -3], [5, 9], [], [5, 5], [1, 5, 1]])
 def test_family_ids_outside_1_to_8_or_none_are_refused_up_front(monkeypatch, deadline, fams):
     # unknown ids used to be filed as inadmissible and an empty list ran
-    # nothing: 0 instances and exit 0, a vacuous pass
+    # nothing: 0 instances and exit 0, a vacuous pass; a repeated id ran and
+    # counted its blocks again
     monkeypatch.setattr(families, "_run_block", lambda args: pytest.fail("a block ran"))
     with deadline(1), pytest.raises(BadParams, match=r"ids in 1\.\.8"):
         sweep_families([5], 2, 2, families=fams)
+
+
+@pytest.mark.parametrize("q_list", [[], [5, 5], [5, 7, 5]], ids=str)
+def test_an_empty_or_repeated_q_list_is_refused_up_front(monkeypatch, deadline, q_list):
+    # a repeated q ran and counted its blocks again, and an empty list ran
+    # nothing: 0 instances, a vacuous pass
+    monkeypatch.setattr(families, "_run_block", lambda args: pytest.fail("a block ran"))
+    with deadline(1), pytest.raises(BadParams, match="non-empty list of distinct values"):
+        sweep_families(q_list, 1, 1)
 
 
 @pytest.mark.parametrize("flags", [("--m-max", "0"), ("--n-max", "0"),
                                    ("--m-max", str(BINOMIAL_CAP + 1)),
                                    ("--n-max", str(BINOMIAL_CAP + 1)),
                                    ("--families", "9"), ("--families", "0,-3"),
-                                   ("--families", "5,9"), ("--families", ",")])
+                                   ("--families", "5,9"), ("--families", ","),
+                                   ("--families", ""), ("--families", "5,5"),
+                                   ("--q", "5,5")])
 def test_cli_refuses_an_empty_or_oversized_grid(capsys, deadline, flags):
     with deadline(1):
         code = main(["table1", "--q", "5", *flags])

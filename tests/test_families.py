@@ -107,6 +107,14 @@ def test_construct_validates(f25):
         EpsilonSpec("plus_omega").resolve(f25, 0)  # no order-3 element supplied
 
 
+@pytest.mark.parametrize("value", [-1, 16, 10 ** 6])
+@pytest.mark.parametrize("entry", [check_family, ns_condition, construct_family])
+def test_family1_refuses_an_epsilon_outside_the_field(f16, entry, value):
+    # -1 used to be read as index 15 and 16 or 10^6 ended in an IndexError
+    with pytest.raises(EpsilonDomain, match="nonzero element"):
+        entry(f16, FamilyParams(1, 4, 1, 1, eps_ext(value), 0, 1))
+
+
 def test_char2_sign_collapse():
     ctx = field_for_q_squared(4)
     for m, n in [(1, 2), (3, 1)]:

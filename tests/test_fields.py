@@ -395,8 +395,7 @@ def _zech_reference(ctx, ds):
     return [ctx._log[s] if s else n for s in one_plus]
 
 
-@pytest.mark.parametrize("spec", [s for s in PINNED if s[0] > 2 and s[1:] != (1, None)],
-                         ids=str)
+@pytest.mark.parametrize("spec", [s for s in PINNED if s[0] > 2], ids=str)
 def test_zech_table_matches_its_definition(spec):
     p, k, n = spec
     ctx = build_tower(p, k=k, n=n)
@@ -412,11 +411,11 @@ def test_zech_table_matches_its_definition(spec):
     assert zech[list(ds)].tolist() == _zech_reference(ctx, ds)
 
 
-@pytest.mark.parametrize("spec", [(2, 2, 2), (2, 8, 2), (7, 1, None), (1021, 1, None)],
-                         ids=str)
-def test_only_odd_extensions_have_a_zech_table(spec):
+@pytest.mark.parametrize("spec", list(PINNED), ids=str)
+def test_zech_table_exists_exactly_at_odd_characteristic(spec):
+    # the characteristic alone decides: prime fields of odd p carry Z too
     p, k, n = spec
-    assert build_tower(p, k=k, n=n)._zech_np is None
+    assert (build_tower(p, k=k, n=n)._zech_np is None) == (p == 2)
 
 
 def test_exp_over_the_log_codes_shares_the_exp_table(f25, f16):

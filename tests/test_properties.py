@@ -3,11 +3,12 @@
 The bulk index-array operations are checked elementwise against the scalar
 arithmetic, and scalar addition and negation (digitwise on the index, like
 the arrays) against the tower recursion through the base fields' own
-arithmetic; prime-base extensions and Rabin's irreducibility test are
-checked against sympy's galoistools, and Rabin's test over extension bases
-against trial division.  Random towers with Q <= 2^12 are checked for the
-field axioms, Frobenius, trace and interpolation, and tabulation (the Zech
-logarithm sum at odd p) against scalar evaluation.
+arithmetic; primality is checked against sympy's `isprime`, prime-base
+extensions and Rabin's irreducibility test against sympy's galoistools,
+and Rabin's test over extension bases against trial division.  Random
+towers with Q <= 2^12 are checked for the field axioms, Frobenius, trace
+and interpolation, and tabulation (the Zech logarithm sum at odd p) against
+scalar evaluation.
 """
 
 import functools
@@ -17,7 +18,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import ZZ
+from sympy import ZZ, isprime
 from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
 from ppf.fields import (_from_digits, _to_digits, build_prime_field, build_tower,
@@ -93,6 +94,10 @@ def test_prime_base_extension_matches_galoistools(p, d, data):
     coords = [int(c) for c in reversed(rem)] + [0] * (d - len(rem))
     prod = ctx._arr_mul_structural(np.array([a], dtype=np.int64), np.array([b], dtype=np.int64))
     assert prod.tolist() == [ctx.encode(coords)]
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(-5, 10 ** 4) if is_prime(n) != isprime(n)] == []
 
 
 def _monic(b, d):
@@ -215,9 +220,10 @@ def test_random_tower_interpolation_inverts_tabulation(data):
     assert interpolate(poly.to_table()).terms == poly.reduce().terms
 
 
-# F_2, F_7, F_4, F_9, F_16, F_25, F_27, F_64 = (F_8)^2 and F_81 = (F_9)^2
-TABULATION_FIELDS = [(2, 1, None), (7, 1, None), (2, 1, 2), (3, 1, 2), (2, 2, 2),
-                     (5, 1, 2), (3, 1, 3), (2, 3, 2), (3, 2, 2)]
+# F_2, F_3 (the smallest Zech table, 2 entries), F_7, F_4, F_9, F_16, F_25,
+# F_27, F_64 = (F_8)^2 and F_81 = (F_9)^2
+TABULATION_FIELDS = [(2, 1, None), (3, 1, None), (7, 1, None), (2, 1, 2), (3, 1, 2),
+                     (2, 2, 2), (5, 1, 2), (3, 1, 3), (2, 3, 2), (3, 2, 2)]
 
 
 def _stress_exponents(order):
